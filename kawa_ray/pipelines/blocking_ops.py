@@ -534,14 +534,6 @@ ORDER BY rule
 
 MULTIRULE_BLOCKING_SQL = _multirule_sql()
 
-# broadcast-LP ceiling: each round materializes the label table as a
-# Python dict[str, str] on the driver AND deserializes a full copy
-# into every relabel task — ~150 bytes/entry realistically (two str
-# objects + dict slot), so 5M nodes ~ 750 MB per process.  Beyond
-# that the bucketed variant's extra all-to-all per round is the price
-# of never holding the node space in any one heap.
-_BCAST_NODE_LIMIT = 5_000_000
-
 
 def multirule_cluster_census(sf_dir: str, num_perm: int = 64,
                              bands: int = 16,
@@ -549,65 +541,17 @@ def multirule_cluster_census(sf_dir: str, num_perm: int = 64,
     """Blocking -> transitive closure -> cluster-size histogram: the
     full candidate-generation-to-entity-clusters mini-pipeline over the
     ``documents`` table.  Connected components over the DISTINCT
-    multi-rule pair union; output one row per cluster size with its
-    cluster count, plus the size-1 row computed by arithmetic
-    (n_docs - nodes-in-pairs; singletons are never enumerated).
-
-    Closure tiers like the dedup family, with the mid tier explicit:
-    union-find over the edge set below ``docs._DRIVER_EDGE_THRESHOLD``
-    (edges-space driver state); BROADCAST label propagation while the
-    node table fits a worker (``_BCAST_NODE_LIMIT`` — one shuffle per
-    round, driver path compression between rounds); bucketed label
-    propagation only beyond that — with per-round pointer jumping it
-    converges in O(log diameter) rounds (clustering._pointer_jump; the
-    16x incident proved real blocking graphs exceed 20-round
-    diameters).  All three tiers are output-identical (union-find vs
-    broadcast LP on random graphs in tests/test_linkage_e2e.py
-    ``test_component_paths_agree_on_random_graph`` /
-    ``test_union_find_matches_label_propagation``; bucketed vs
-    union-find in ``test_bucketed_label_propagation_matches_union_find``
-    and the diameter-99 path test); the size histogram on the
-    distributed tiers folds per-label partition partials, never a
+    multi-rule pair union (``_multirule_closure_labels``, tiered by
+    ``clustering.closure_labels``); output one row per cluster size with
+    its cluster count, plus the size-1 row computed by arithmetic
+    (n_docs - nodes-in-pairs; singletons are never enumerated).  The
+    size histogram folds per-label partition partials, never a
     node-space driver table."""
-    from kawa_ray.pipelines.docs import _DRIVER_EDGE_THRESHOLD
-    from kawa_ray.stages.clustering import union_find_components
-
-    tagged = _multirule_tagged_pairs(sf_dir, num_perm, bands, max_members)
-    edges = partition_reduce(
-        tagged, "a", lambda g: g[["a", "b"]].drop_duplicates()).materialize()
-
+    labels = _multirule_closure_labels(sf_dir, num_perm, bands, max_members)
     n_docs = int(_read_docs(sf_dir, ["doc_id"]).count())
-    n_edges = int(edges.count())
     hist: dict[int, int] = {}
     n_nodes = 0
-    if n_edges == 0:
-        pass
-    elif n_edges <= _DRIVER_EDGE_THRESHOLD:
-        edf = edges.to_pandas()
-        groups = union_find_components(
-            zip(edf["a"].astype(str), edf["b"].astype(str)))
-        n_nodes = len(groups)
-        sizes = pd.Series(list(groups.values())).value_counts()
-        for sz, n in sizes.value_counts().items():
-            hist[int(sz)] = int(n)
-    else:
-        from kawa_ray.stages.clustering import (
-            label_propagation_components,
-            label_propagation_components_bucketed,
-        )
-
-        edges_s = edges.map_batches(
-            lambda df: pd.DataFrame({"a": df["a"].astype(str),
-                                     "b": df["b"].astype(str)}),
-            batch_format="pandas")
-        # node space <= 2 * edges; broadcast LP while that fits a worker
-        if 2 * n_edges <= _BCAST_NODE_LIMIT:
-            labels = label_propagation_components(edges_s).map_batches(
-                lambda df: df.rename(columns={"label": "lbl"}),
-                batch_format="pandas")
-        else:
-            labels = label_propagation_components_bucketed(edges_s)
-
+    if labels is not None:
         def size_part(g: pd.DataFrame) -> pd.DataFrame:
             sizes = g.groupby("lbl").size()  # whole label co-locates
             h = sizes.value_counts()
@@ -673,55 +617,23 @@ def _multirule_closure_labels(sf_dir: str, num_perm: int, bands: int,
     labels as a (doc_id, lbl) Dataset, or None when the blocking graph
     is empty.  With ``with_edges`` the return is ``(labels, edges)``
     (the materialized distinct pair union — census consumers like the
-    density census need both).  The tiering is the cluster census's:
-    driver union-find below the edge threshold, broadcast label
-    propagation in the mid regime, bucketed pointer-jump LP beyond the
-    broadcast ceiling.  Label VALUES differ between tiers (string-min
-    vs int-min) but the partition they induce is identical
-    (tier-equivalence tests in tests/test_er_round5.py /
-    test_linkage_e2e.py) — consumers must only ever group by lbl,
-    never interpret it."""
-    from kawa_ray.pipelines.docs import _DRIVER_EDGE_THRESHOLD
-    from kawa_ray.stages.clustering import union_find_components
+    density census need both).  ``clustering.closure_labels`` picks the
+    closure tier; ``lbl`` is the component's smallest doc_id as a
+    string — consumers must only ever group by lbl, never interpret
+    it."""
+    from kawa_ray.stages.clustering import closure_labels
 
     tagged = _multirule_tagged_pairs(sf_dir, num_perm, bands, max_members)
     edges = partition_reduce(
         tagged, "a", lambda g: g[["a", "b"]].drop_duplicates()).materialize()
-    n_edges = int(edges.count())
-
-    def ret(labels):
-        return (labels, edges) if with_edges else labels
-
-    if n_edges == 0:
-        return ret(None)
-    if n_edges <= _DRIVER_EDGE_THRESHOLD:
-        edf = edges.to_pandas()
-        groups = union_find_components(
-            zip(edf["a"].astype(str), edf["b"].astype(str)))
-        return ret(rd.from_pandas(pd.DataFrame({
-            "doc_id": pd.Series([int(k) for k in groups], dtype="int64"),
-            "lbl": pd.Series(list(groups.values()), dtype="str"),
-        })))
-    from kawa_ray.stages.clustering import (
-        label_propagation_components,
-        label_propagation_components_bucketed,
-    )
-
-    edges_s = edges.map_batches(
-        lambda df: pd.DataFrame({"a": df["a"].astype(str),
-                                 "b": df["b"].astype(str)}),
-        batch_format="pandas")
-    if 2 * n_edges <= _BCAST_NODE_LIMIT:
-        lab = label_propagation_components(edges_s).map_batches(
-            lambda df: df.rename(columns={"label": "lbl"}),
+    labels = None
+    if edges.count():
+        labels = closure_labels(edges).map_batches(
+            lambda df: pd.DataFrame({
+                "doc_id": df["node"].astype("int64"),
+                "lbl": df["lbl"].astype(str)}),
             batch_format="pandas")
-    else:
-        lab = label_propagation_components_bucketed(edges_s)
-    return ret(lab.map_batches(
-        lambda df: pd.DataFrame({
-            "doc_id": df["node"].astype("int64"),
-            "lbl": df["lbl"].astype(str)}),
-        batch_format="pandas"))
+    return (labels, edges) if with_edges else labels
 
 
 def cluster_survivorship_census(sf_dir: str, num_perm: int = 64,
@@ -742,8 +654,7 @@ def cluster_survivorship_census(sf_dir: str, num_perm: int = 64,
     (survivorship rules in MDM systems, Splink's cluster metrics).
 
     Scale shape: pair dedupe + closure exactly as the cluster census
-    (driver union-find below the edge threshold, broadcast LP in the
-    mid regime, bucketed pointer-jump LP beyond); label rows union the
+    (``_multirule_closure_labels``); label rows union the
     document attribute stream through ONE doc_id-hash exchange (the
     `_verified_edges` attach idiom) so attributes and labels meet
     without a driver-side node map; the canon vote runs per

@@ -31,7 +31,7 @@ from kawa_ray.functions.minhash import (
     simhash_band_keys,
     word_ngrams,
 )
-from kawa_ray.stages.clustering import union_find_components
+from kawa_ray.stages.clustering import _DRIVER_EDGE_THRESHOLD, closure_labels
 
 _WS = re.compile(r"\s+")
 _PUNCT = re.compile(r"[.!?,;:]")
@@ -718,10 +718,9 @@ LANG_ID_SQL = _lang_id_sql()
 # with per-segment caps the output is P-independent anyway, P only sets
 # the shuffle fan-out.
 _PAIR_PARTITIONS = 64
-# driver-collapse threshold for connected components: below this many
-# edges the exact union-find runs on the driver (edges-space, NEVER
-# corpus-space); above it the bucketed label-propagation path runs.
-_DRIVER_EDGE_THRESHOLD = 200_000
+# _DRIVER_EDGE_THRESHOLD (imported from clustering, the closure's driver
+# tier bound) also bounds the pair-space tables this module collapses on
+# the driver: cross-band pair dedup and the verify stage's candidate set.
 
 
 def _partitioned_band_pairs(banded, key_col: str, max_members: int,
@@ -946,30 +945,15 @@ def _verified_edges(sf_dir: str, cand: rd.Dataset, n: int,
 
 def _edges_census(sf_dir: str, edges: rd.Dataset) -> pd.DataFrame:
     """Dedup census from a duplicate-edge Dataset with NO corpus-sized
-    driver state: n_docs is a metadata count, components run either as
-    driver union-find over the EDGE set (edges-space, below
-    ``_DRIVER_EDGE_THRESHOLD``) or as bucketed label propagation
-    (clustering.py:142), and singleton groups are counted by arithmetic
-    (n_docs - nodes_in_edges + components) instead of enumerating ids."""
+    driver state: n_docs is a metadata count, components come from
+    ``closure_labels`` (a component's label is its smallest member, so
+    components are the label rows with node == lbl), and singleton
+    groups are counted by arithmetic (n_docs - nodes_in_edges +
+    components) instead of enumerating ids."""
     n_docs = int(_read_docs(sf_dir, ["doc_id"]).count())
-    edges_s = edges.map_batches(
-        lambda df: pd.DataFrame({"a": df["a"].astype(str), "b": df["b"].astype(str)}),
-        batch_format="pandas",
-    ).materialize()
-    n_edges = int(edges_s.count())
-    if n_edges == 0:
-        n_nodes, n_comp = 0, 0
-    elif n_edges <= _DRIVER_EDGE_THRESHOLD:
-        edf = edges_s.to_pandas()  # edges-space; NOT iter_rows (per-row cost)
-        groups = union_find_components(zip(edf["a"], edf["b"]))
-        n_nodes = len(groups)
-        n_comp = len(set(groups.values()))
-    else:
-        from kawa_ray.stages.clustering import label_propagation_components_bucketed
-
-        labels = label_propagation_components_bucketed(edges_s).materialize()
-        n_nodes = int(labels.count())
-        n_comp = len(labels.unique("lbl"))
+    labels = closure_labels(edges).materialize()
+    n_nodes = int(labels.count())
+    n_comp = int(labels.filter(expr="node == lbl").count())
     n_groups = n_docs - n_nodes + n_comp
     return pd.DataFrame(
         {"n_docs": [n_docs], "n_groups": [n_groups],
@@ -1666,26 +1650,20 @@ def _member_token_rows(sf_dir: str) -> rd.Dataset:
     return ds.map_batches(rows, batch_format="pyarrow")
 
 
-def _keep_best_census(sf_dir: str, edges: rd.Dataset,
-                      driver_threshold: int | None = None) -> pd.DataFrame:
+def _keep_best_census(sf_dir: str, edges: rd.Dataset) -> pd.DataFrame:
     """Representative selection over duplicate clusters: per component
     keep the doc with the most tokens (tie: smallest doc_id); census per
-    language of (members, kept, dropped).  Below ``driver_threshold``
-    edges the closure runs as driver union-find (edge-space, the
-    _edges_census bound); above it, distributed label propagation plus
-    two hash-partitioned joins: attach label by node, then the keep-best
-    ranking runs INSIDE the per-lbl partition (every member of a lbl
-    hashes to one partition) emitting per-lang census partials, so the
-    driver folds ≤ P x n_langs rows — never a member-space table."""
-    if driver_threshold is None:
-        driver_threshold = _DRIVER_EDGE_THRESHOLD
+    language of (members, kept, dropped).  Components come from
+    ``closure_labels``; two hash-partitioned joins follow: attach label
+    by node, then the keep-best ranking runs INSIDE the per-lbl
+    partition (every member of a lbl hashes to one partition) emitting
+    per-lang census partials, so the driver folds ≤ P x n_langs rows —
+    never a member-space table."""
+    from kawa_ray.functions.minhash import hash64
+
     cols = ["lang", "n_members", "n_kept", "n_dropped"]
-    edges_s = edges.map_batches(
-        lambda df: pd.DataFrame({"a": df["a"].astype(str), "b": df["b"].astype(str)}),
-        batch_format="pandas",
-    ).materialize()
-    n_edges = int(edges_s.count())
-    if n_edges == 0:
+    labels = closure_labels(edges).materialize()
+    if labels.count() == 0:
         return pd.DataFrame({c: pd.Series([], dtype="int64" if c != "lang" else object)
                              for c in cols})
     P = 64
@@ -1705,77 +1683,53 @@ def _keep_best_census(sf_dir: str, edges: rd.Dataset,
         ).reset_index()
         return out
 
-    if n_edges <= driver_threshold:
-        edf = edges_s.to_pandas()
-        groups = union_find_components(zip(edf["a"], edf["b"]))
-        import ray
+    lab_rows = labels.map_batches(
+        lambda df: pd.DataFrame({"node": df["node"], "lbl": df["lbl"],
+                                 "lang": "", "ntok": -1}),
+        batch_format="pandas")
+    tok_rows = _member_token_rows(sf_dir).map_batches(
+        lambda df: df.assign(lbl=""), batch_format="pandas")
 
-        g_ref = ray.put(groups)
+    def attach_lbl(g: pd.DataFrame) -> pd.DataFrame:
+        lbl_of = dict(zip(g.loc[g["ntok"] == -1, "node"],
+                          g.loc[g["ntok"] == -1, "lbl"]))
+        toks = g[g["ntok"] >= 0]
+        keep = toks["node"].isin(lbl_of)
+        out = toks[keep].copy()
+        out["lbl"] = out["node"].map(lbl_of)
+        return out[["node", "lang", "ntok", "lbl"]]
 
-        def member_rows(df: pd.DataFrame, _ref=g_ref) -> pd.DataFrame:
-            g = ray.get(_ref)
-            keep = df["node"].isin(g)
-            out = df[keep].copy()
-            out["lbl"] = out["node"].map(g)
-            return out
-
-        members = _member_token_rows(sf_dir).map_batches(
-            member_rows, batch_format="pandas").to_pandas()  # node-space
-        census = rank_census(members)
-    else:
-        from kawa_ray.stages.clustering import label_propagation_components_bucketed
-        from kawa_ray.functions.minhash import hash64
-
-        labels = label_propagation_components_bucketed(edges_s)
-        lab_rows = labels.map_batches(
-            lambda df: pd.DataFrame({"node": df["node"], "lbl": df["lbl"],
-                                     "lang": "", "ntok": -1}),
-            batch_format="pandas")
-        tok_rows = _member_token_rows(sf_dir).map_batches(
-            lambda df: df.assign(lbl=""), batch_format="pandas")
-
-        def attach_lbl(g: pd.DataFrame) -> pd.DataFrame:
-            lbl_of = dict(zip(g.loc[g["ntok"] == -1, "node"],
-                              g.loc[g["ntok"] == -1, "lbl"]))
-            toks = g[g["ntok"] >= 0]
-            keep = toks["node"].isin(lbl_of)
-            out = toks[keep].copy()
-            out["lbl"] = out["node"].map(lbl_of)
-            return out[["node", "lang", "ntok", "lbl"]]
-
-        # rank inside the per-lbl partition: only per-lang census
-        # partials (<= P x n_langs rows) ever reach the driver
-        partials = (
-            lab_rows.union(tok_rows)
-            .map_batches(lambda df: df.assign(
-                part=[hash64(n) % P for n in df["node"]]), batch_format="pandas")
-            .groupby("part")
-            .map_groups(attach_lbl, batch_format="pandas")
-            .map_batches(lambda df: df.assign(
-                part=[hash64(x) % P for x in df["lbl"]]), batch_format="pandas")
-            .groupby("part")
-            .map_groups(lambda g: rank_census(g.drop(columns="part")),
-                        batch_format="pandas")
-            .to_pandas()
-        )
-        census = (partials.groupby("lang")[["n_members", "n_kept", "n_dropped"]]
-                  .sum().reset_index())
-
+    # rank inside the per-lbl partition: only per-lang census
+    # partials (<= P x n_langs rows) ever reach the driver
+    partials = (
+        lab_rows.union(tok_rows)
+        .map_batches(lambda df: df.assign(
+            part=[hash64(n) % P for n in df["node"]]), batch_format="pandas")
+        .groupby("part")
+        .map_groups(attach_lbl, batch_format="pandas")
+        .map_batches(lambda df: df.assign(
+            part=[hash64(x) % P for x in df["lbl"]]), batch_format="pandas")
+        .groupby("part")
+        .map_groups(lambda g: rank_census(g.drop(columns="part")),
+                    batch_format="pandas")
+        .to_pandas()
+    )
+    census = (partials.groupby("lang")[["n_members", "n_kept", "n_dropped"]]
+              .sum().reset_index())
     for c in ("n_members", "n_kept", "n_dropped"):
         census[c] = census[c].astype("int64")
     return census.sort_values("lang").reset_index(drop=True)
 
 
 def minhash_keep_best(sf_dir: str, num_perm: int = 64, bands: int = 16,
-                      jaccard_threshold: float = 0.8,
-                      driver_threshold: int | None = None):
+                      jaccard_threshold: float = 0.8):
     """Near-dup representative selection: MinHash-LSH clusters (same
     chain as ``minhash_dedup_docs``), keep the longest member per
     cluster (tie: smallest doc_id) — the real-pipeline alternative to
     keep-first dedup.  Exact SQL oracle (the minhash chain's CTEs with a
     ROW_NUMBER keep-best tail)."""
     edges = _minhash_edges(sf_dir, num_perm, bands, jaccard_threshold)
-    return _keep_best_census(sf_dir, edges, driver_threshold)
+    return _keep_best_census(sf_dir, edges)
 
 
 def _keep_best_tail() -> str:

@@ -22,7 +22,10 @@ from kawa_ray.sources.roster import alias_embedding_table, build_roster, roster_
 from kawa_ray.stages.blocking import node_block_keys, partial_node_agg, salt_block_keys
 from kawa_ray.stages.extract import extract_stage
 from kawa_ray.stages.mentions import mention_stage
-from kawa_ray.stages.clustering import union_find_components
+# union_find_components is no longer called here; the name stays
+# importable because perfbench's traced run patches it on this module
+from kawa_ray.stages.clustering import closure_labels, union_find_components  # noqa: F401
+from kawa_ray.stages import scoring
 from kawa_ray.stages.scoring import PairScorer
 from kawa_ray.state.lexicon import LexiconIndex
 
@@ -149,7 +152,10 @@ def candidate_pairs(nodes: rd.Dataset, cfg: LinkageConfig,
         nodes_tbl = pa.concat_tables(
             [b for b in nodes.iter_batches(batch_format="pyarrow", batch_size=65536)]
         )
-        return _candidate_pairs_driver(node_block_keys(nodes_tbl, cfg, ent_of), cfg)
+        return rd.from_pandas(_pairs_driver_df(node_block_keys(nodes_tbl, cfg, ent_of), cfg))
+    # size the block count to the data so the blocking/pair shuffles
+    # don't pay per-block overhead on near-empty partitions
+    nodes = nodes.repartition(max(1, min(64, n_nodes // 2048 + 1)))
     # ent_of rides the task closure: it is KB-alias-dictionary sized
     # (bounded by the KB, not the corpus); a multi-GB KB would move to an
     # explicit ray.put ref like the lexicon does
@@ -221,15 +227,23 @@ def _pairs_driver_df(keyed, cfg: LinkageConfig) -> pd.DataFrame:
     return pairs[["a", "b", "block_key"]]
 
 
-def _candidate_pairs_driver(keyed, cfg: LinkageConfig) -> rd.Dataset:
-    return rd.from_pandas(_pairs_driver_df(keyed, cfg))
-
-
 def score_pairs(pairs: rd.Dataset, cfg: LinkageConfig,
                 embed_obj=None, ent_of: dict[str, int] | None = None) -> rd.Dataset:
-    """S5: attach jw/lev/cos/score columns via the scoring actor pool."""
+    """S5: attach jw/lev/cos/score columns.  Up to
+    ``cfg.driver_pair_threshold`` pairs one in-process ``PairScorer``
+    call scores them (starting an actor pool costs more than the work);
+    above it the scoring actor pool runs."""
     if embed_obj is None:
         _, embed_obj = default_artifacts()
+    pairs = pairs.materialize()
+    if pairs.count() <= cfg.driver_pair_threshold:
+        # the class itself, not the module-level PairScorer name, which
+        # perfbench's traced run swaps for a subclass that counts its
+        # calls a second time
+        scorer = scoring.PairScorer(embed_obj=embed_obj, cfg=cfg, ent_of=ent_of)
+        # arrow refs, not to_pandas: an empty Dataset keeps its schema
+        tbl = pa.concat_tables(ray.get(pairs.to_arrow_refs()))
+        return rd.from_arrow(scorer(tbl))
     embed_ref = ray.put(embed_obj)
     return pairs.map_batches(
         PairScorer,
@@ -242,15 +256,20 @@ def score_pairs(pairs: rd.Dataset, cfg: LinkageConfig,
 
 
 def cluster_norms(scored: rd.Dataset, nodes: rd.Dataset, cfg: LinkageConfig) -> dict[str, str]:
-    """S6: edges above threshold -> norm -> cluster id (driver union-find;
-    edge stream is distinct-surface sized)."""
+    """S6: edges above threshold -> norm -> cluster id.  The closure runs
+    through ``closure_labels``; a norm with no edge is its own cluster."""
     edges = scored.filter(expr=f"score >= {cfg.edge_threshold}")
-    # to_pandas, not take_all: take_all builds per-row Python dicts at
-    # ~0.8 ms/row — distinct-surface-sized collections still pay seconds
-    edf = edges.select_columns(["a", "b"]).to_pandas()
-    edge_list = list(zip(edf["a"], edf["b"]))
-    all_norms = nodes.select_columns(["norm"]).to_pandas()["norm"].tolist()
-    return union_find_components(edge_list, all_norms)
+    norm2cluster: dict[str, str] = {}
+    # batches, not to_pandas: an empty Dataset converts to a frame
+    # without columns
+    for b in closure_labels(edges).iter_batches(batch_format="pandas",
+                                                batch_size=None):
+        norm2cluster.update(zip(b["node"], b["lbl"]))
+    # no select_columns: a projection costs a Ray execution, while a
+    # materialized nodes table converts to pandas as it stands
+    for n in nodes.to_pandas()["norm"]:
+        norm2cluster.setdefault(n, n)
+    return norm2cluster
 
 
 def link_pages(pages_dir: str, cfg: LinkageConfig | None = None,
@@ -325,36 +344,10 @@ def link_pages(pages_dir: str, cfg: LinkageConfig | None = None,
         mentions = pin_or_spill(
             detect_mentions(pages, cfg, lexicon, n_entities), "mentions")
     nodes = build_nodes(mentions).materialize()
-    if nodes.count() <= cfg.driver_pair_threshold:
-        # the whole post-mention graph phase lives in the distinct-surface
-        # space; below the threshold keygen/pairs/scoring/closure run once
-        # on the driver (zero extra Ray executions — each executor spin-up
-        # costs ~0.5-1s, and this phase would otherwise take five of them).
-        # The distributed stages remain the scale path below and are
-        # asserted equivalent in tests.
-        nodes_df = nodes.to_pandas()
-        keyed = node_block_keys(pa.Table.from_pandas(nodes_df), cfg, ent_of)
-        pairs_df = _pairs_driver_df(keyed, cfg)
-        scorer = PairScorer(embed_obj=embed_obj, cfg=cfg, ent_of=ent_of)
-        if len(pairs_df):
-            scored_tbl = scorer(pa.Table.from_pandas(pairs_df))
-            sdf = scored_tbl.to_pandas()
-            edge_list = list(
-                zip(sdf.loc[sdf["score"] >= cfg.edge_threshold, "a"],
-                    sdf.loc[sdf["score"] >= cfg.edge_threshold, "b"])
-            )
-        else:
-            edge_list = []
-        norm2cluster = union_find_components(edge_list, nodes_df["norm"].tolist())
-        n_pairs = len(pairs_df)
-    else:
-        # size the block count to the data so the blocking/pair shuffles
-        # don't pay per-block overhead on near-empty partitions
-        nodes = nodes.repartition(max(1, min(64, nodes.count() // 2048 + 1))).materialize()
-        pairs = candidate_pairs(nodes, cfg, ent_of=ent_of)
-        scored = score_pairs(pairs, cfg, embed_obj, ent_of=ent_of).materialize()
-        norm2cluster = cluster_norms(scored, nodes, cfg)
-        n_pairs = scored.count()
+    pairs = candidate_pairs(nodes, cfg, ent_of=ent_of)
+    scored = score_pairs(pairs, cfg, embed_obj, ent_of=ent_of).materialize()
+    norm2cluster = cluster_norms(scored, nodes, cfg)
+    n_pairs = scored.count()
     c_ref = ray.put(norm2cluster)
 
     def attach(batch: pa.Table, _ref=c_ref) -> pa.Table:

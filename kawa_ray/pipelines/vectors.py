@@ -1059,11 +1059,10 @@ def margin_bitext_census(sf_dir: str, k: int = _BM_K) -> pd.DataFrame:
     emb = _read_emb(sf_dir, ["vec_id", "embedding"])
 
     def _parity(t: pa.Table, rem: int) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ids = t.column("vec_id")
-        return t.filter(pc.equal(
-            pc.bit_wise_and(ids, 1), rem))
+        # SQL `vec_id % 2` keeps the dividend's sign (np.fmod), so a
+        # negative odd id is neither a source (0) nor a target (1)
+        ids = t.column("vec_id").to_numpy()
+        return t.filter(pa.array(np.fmod(ids, 2) == rem))
 
     tgt_rows = emb.map_batches(
         lambda t: _parity(t, 1), batch_format="pyarrow").take_all()
@@ -1081,7 +1080,12 @@ def margin_bitext_census(sf_dir: str, k: int = _BM_K) -> pd.DataFrame:
     src = emb.map_batches(lambda t: _parity(t, 0), batch_format="pyarrow")
 
     def _c_int(sims: np.ndarray) -> np.ndarray:
-        return (np.round(sims * _BM_SCALE) + _BM_SCALE).astype(np.int64)
+        # DuckDB ROUND rounds half away from zero (np.round: half to
+        # even); x - trunc(x) is exact, so the .5 test is too
+        x = sims * _BM_SCALE
+        r = np.trunc(x)
+        r += np.where(np.abs(x - r) >= 0.5, np.sign(x), 0.0)
+        return (r + _BM_SCALE).astype(np.int64)
 
     def tgt_knn_partial(t: pa.Table, _ref=t_ref) -> pa.Table:
         tgt_ids, Tn = ray.get(_ref)
@@ -1106,19 +1110,20 @@ def margin_bitext_census(sf_dir: str, k: int = _BM_K) -> pd.DataFrame:
                          "src": pa.array(out_s, pa.int64())})
 
     # pass 1: per-target k-NN (over ALL sources) folded on the driver —
-    # target-space, the broadcast-bounded side
+    # target-space, the broadcast-bounded side; each target's list is cut
+    # back to its top k after every batch, so driver state is n_tgt x k
     best_per_tgt: dict[int, list[tuple[int, int]]] = {}
     for b in src.map_batches(tgt_knn_partial, batch_format="pyarrow",
                              batch_size=2048) \
             .iter_batches(batch_format="pandas"):
+        touched = set()
         for tj, c, si in zip(b["tgt"], b["c"], b["src"]):
-            cur = best_per_tgt.setdefault(int(tj), [])
-            cur.append((int(c), int(si)))
-    s_tgt: dict[int, tuple[int, int]] = {}
-    for tj, rows in best_per_tgt.items():
-        rows.sort(key=lambda r: (-r[0], r[1]))
-        top = rows[:k]
-        s_tgt[tj] = (sum(c for c, _ in top), len(top))
+            best_per_tgt.setdefault(int(tj), []).append((-int(c), int(si)))
+            touched.add(int(tj))
+        for tj in touched:
+            best_per_tgt[tj] = sorted(best_per_tgt[tj])[:k]
+    s_tgt = {tj: (-sum(c for c, _ in top), len(top))
+             for tj, top in best_per_tgt.items()}
     st_ref = ray.put(s_tgt)
 
     def bucket_partial(t: pa.Table, _ref=t_ref, _sref=st_ref) -> pa.Table:

@@ -1,14 +1,24 @@
-"""S6 — transitive closure: union-find (driver) + distributed min-label
-propagation (scale path).
+"""S6 — transitive closure over an edge Dataset.
 
-Edge count is orders of magnitude below the corpus size (edges live in
-the distinct-surface space), so the default is an exact driver-side
-union-find over the streamed edge set — the same trade the reference's
-builder makes with its incremental synonym-cluster merging
-(/root/reference/ontology/ontology_builder.py:164-174).  The scale path
-is alternating min-label propagation over ``groupby(node)`` rounds to a
-fixed point — the standard hash-to-min connected components; both paths
-are tested for identical component sets.
+``closure_labels(edges_ds)`` is the one entry point: it returns a
+``(node, lbl)`` Dataset in which every node of the edge set carries the
+smallest member of its component, and it alone picks the tier from the
+edge count:
+
+* up to ``_DRIVER_EDGE_THRESHOLD`` (200k) edges, an exact union-find on
+  the driver — edges live in the distinct-surface / pair space, never
+  corpus space (the same trade as the reference ontology builder's
+  incremental synonym-cluster merging);
+* while the node space (at most 2 x edges) stays within
+  ``_BCAST_NODE_LIMIT`` (5M), broadcast min-label propagation
+  (``label_propagation_components``);
+* beyond that, bucketed min-label propagation with per-round pointer
+  jumping (``label_propagation_components_bucketed``), which holds no
+  node-space table in any one heap.
+
+All three tiers induce the same partition with the same labels
+(tests/test_linkage_e2e.py, tests/test_dedup_census.py,
+tests/test_er_round5.py force each tier).
 """
 
 from __future__ import annotations
@@ -16,6 +26,17 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import pandas as pd
+
+# driver tier ceiling: up to this many edges the union-find runs on the
+# driver (edge space, never corpus space)
+_DRIVER_EDGE_THRESHOLD = 200_000
+# broadcast-LP ceiling on the node space: each round materializes the
+# label table as a Python dict[str, str] on the driver AND deserializes
+# a full copy into every relabel task — ~150 bytes/entry realistically
+# (two str objects + dict slot), so 5M nodes ~ 750 MB per process.
+# Beyond that the bucketed variant's extra all-to-all per round is the
+# price of never holding the node space in any one heap.
+_BCAST_NODE_LIMIT = 5_000_000
 
 
 class UnionFind:
@@ -69,12 +90,40 @@ def union_find_components(edges: Iterable[tuple[str, str]],
     return out
 
 
+def closure_labels(edges_ds):
+    """Connected components of an edge Dataset (cols ``a``, ``b``; any
+    dtype, compared as strings) as a ``(node, lbl)`` Dataset: one row per
+    node that occurs in an edge, ``lbl`` = the component's smallest
+    member.  The tier follows the edge count (module docstring)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    edges = edges_ds.map_batches(
+        lambda df: pd.DataFrame({"a": df["a"].astype(str),
+                                 "b": df["b"].astype(str)}),
+        batch_format="pandas",
+    ).materialize()
+    n_edges = edges.count()
+    if n_edges <= _DRIVER_EDGE_THRESHOLD:
+        groups = {}
+        if n_edges:
+            edf = edges.to_pandas()  # edge space; NOT take_all (per-row cost)
+            groups = union_find_components(zip(edf["a"], edf["b"]))
+        return rd.from_arrow(pa.table(
+            {"node": pa.array(list(groups), pa.string()),
+             "lbl": pa.array(list(groups.values()), pa.string())}))
+    # node space <= 2 x edges
+    if 2 * n_edges <= _BCAST_NODE_LIMIT:
+        return label_propagation_components(edges)
+    return label_propagation_components_bucketed(edges)
+
+
 def label_propagation_components(edges_ds, max_rounds: int = 20):
     """Distributed connected components: hash-to-min label propagation
     with DRIVER-SIDE PATH COMPRESSION between rounds.
 
     ``edges_ds``: Dataset with string cols (a, b).  Returns a Dataset
-    (node, component).  Each round: explode edges both directions,
+    (node, lbl).  Each round: explode edges both directions,
     broadcast-relabel, hash-partition by node + in-batch groupby-min ->
     new labels; then, since this tier already holds the label dict on
     the driver, chase label chains to their roots (labels decrease
@@ -133,9 +182,9 @@ def label_propagation_components(edges_ds, max_rounds: int = 20):
         .map_batches(lambda t: pa.table({"node": t.column("node")}),
                      batch_format="pyarrow"),
         ["node"], key_col="node", partitions=P,
-        then=lambda g: g[["node"]].assign(label=g["node"]),
+        then=lambda g: g[["node"]].assign(lbl=g["node"]),
     ).to_pandas()  # to_pandas, not take_all (per-row dict cost)
-    lab = dict(zip(_ldf["node"], _ldf["label"]))
+    lab = dict(zip(_ldf["node"], _ldf["lbl"]))
     for _ in range(max_rounds):
         # join edge endpoints with current labels (broadcast: label table is
         # node-space sized; at true scale this becomes a bucketed join)
@@ -162,18 +211,18 @@ def label_propagation_components(edges_ds, max_rounds: int = 20):
             .groupby("part")
             .map_groups(
                 lambda g: (g.groupby("node", sort=False)["cand"].min()
-                           .rename("label").reset_index()),
+                           .rename("lbl").reset_index()),
                 batch_format="pandas",
             )
             .materialize()
         )
         _ndf = new_labels.to_pandas()
-        new_lab = _compress(dict(zip(_ndf["node"], _ndf["label"])))
+        new_lab = _compress(dict(zip(_ndf["node"], _ndf["lbl"])))
         if new_lab == lab:
             import ray.data as _rd
 
             return _rd.from_pandas(pd.DataFrame(
-                {"node": list(new_lab), "label": list(new_lab.values())}))
+                {"node": list(new_lab), "lbl": list(new_lab.values())}))
         lab = new_lab
     # exhausting max_rounds means the labels are PARTIALLY propagated —
     # a silently-wrong component table (one real cluster counted as

@@ -68,8 +68,11 @@ class PairScorer:
         cfg = self.cfg
         jw = batch_jaro_winkler(a, b)
         lev = batch_levenshtein_norm(a, b)
-        va = np.stack([self._vec(x) for x in a])
-        vb = np.stack([self._vec(x) for x in b])
+        # np.array + reshape rather than np.stack: an empty batch gives
+        # (0, dim) instead of raising
+        dim = self.matrix.shape[1]
+        va = np.array([self._vec(x) for x in a]).reshape(len(a), dim)
+        vb = np.array([self._vec(x) for x in b]).reshape(len(b), dim)
         cos = np.einsum("ij,ij->i", va, vb).astype(np.float32)
         score = (cfg.w_jw * jw + cfg.w_lev * (1.0 - lev) + cfg.w_cos * cos).astype(np.float32)
         if cfg.exact_match_is_edge:

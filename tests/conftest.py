@@ -24,3 +24,20 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def forced_closure_tiers(monkeypatch):
+    """Factory of an iterator over the closure tiers above the driver
+    tier: each step patches stages.clustering's thresholds so that
+    closure_labels picks broadcast LP ("mid"), then bucketed LP
+    ("scale").  The patches last until the test ends."""
+    from kawa_ray.stages import clustering
+
+    def tiers():
+        monkeypatch.setattr(clustering, "_DRIVER_EDGE_THRESHOLD", 0)
+        yield "mid"
+        monkeypatch.setattr(clustering, "_BCAST_NODE_LIMIT", 0)
+        yield "scale"
+
+    return tiers

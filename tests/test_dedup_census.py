@@ -1,5 +1,5 @@
-"""Near-dup census invariants: the driver union-find collapse and the
-bucketed label-propagation scale path must produce identical censuses
+"""Near-dup census invariants: the driver union-find collapse and both
+label-propagation closure tiers must produce identical censuses
 (VERDICT.md round-1 item 2), and the candidate-pair stage must be
 deterministic across partition counts."""
 
@@ -16,25 +16,34 @@ def docs_mod():
     return docs
 
 
-def test_minhash_census_paths_agree(ray_session, docs_mod, monkeypatch):
+def test_minhash_census_paths_agree(ray_session, docs_mod, monkeypatch,
+                                    forced_closure_tiers):
     driver = docs_mod.minhash_dedup_docs(SF_DIR)
+    # the pair-space dedup/verify stages take their scale paths too
     monkeypatch.setattr(docs_mod, "_DRIVER_EDGE_THRESHOLD", 0)
-    distributed = docs_mod.minhash_dedup_docs(SF_DIR)
-    pd.testing.assert_frame_equal(driver, distributed)
+    for tier in forced_closure_tiers():
+        pd.testing.assert_frame_equal(
+            driver, docs_mod.minhash_dedup_docs(SF_DIR), obj=tier)
 
 
-def test_simhash_census_paths_agree(ray_session, docs_mod, monkeypatch):
+def test_simhash_census_paths_agree(ray_session, docs_mod, monkeypatch,
+                                    forced_closure_tiers):
     driver = docs_mod.simhash_dedup_docs(SF_DIR)
+    # the pair-space dedup/verify stages take their scale paths too
     monkeypatch.setattr(docs_mod, "_DRIVER_EDGE_THRESHOLD", 0)
-    distributed = docs_mod.simhash_dedup_docs(SF_DIR)
-    pd.testing.assert_frame_equal(driver, distributed)
+    for tier in forced_closure_tiers():
+        pd.testing.assert_frame_equal(
+            driver, docs_mod.simhash_dedup_docs(SF_DIR), obj=tier)
 
 
-def test_ngram_census_paths_agree(ray_session, docs_mod, monkeypatch):
+def test_ngram_census_paths_agree(ray_session, docs_mod, monkeypatch,
+                                  forced_closure_tiers):
     driver = docs_mod.ngram_jaccard_dedup_docs(SF_DIR)
+    # the pair-space dedup/verify stages take their scale paths too
     monkeypatch.setattr(docs_mod, "_DRIVER_EDGE_THRESHOLD", 0)
-    distributed = docs_mod.ngram_jaccard_dedup_docs(SF_DIR)
-    pd.testing.assert_frame_equal(driver, distributed)
+    for tier in forced_closure_tiers():
+        pd.testing.assert_frame_equal(
+            driver, docs_mod.ngram_jaccard_dedup_docs(SF_DIR), obj=tier)
 
 
 def test_band_pairs_deterministic_across_partitions(ray_session, docs_mod,
@@ -64,15 +73,15 @@ def test_exact_vs_minhash_consistency(ray_session, docs_mod):
     assert int(near["n_duplicates"].iloc[0]) >= int(exact["n_duplicates"].sum())
 
 
-def test_keep_best_paths_agree(ray_session):
-    """The distributed label-propagation + partitioned-join path of the
-    keep-best census equals the driver union-find path."""
+def test_keep_best_paths_agree(ray_session, forced_closure_tiers):
+    """The keep-best census over both label-propagation closure tiers
+    equals the driver union-find tier."""
     from kawa_ray.pipelines.docs import minhash_keep_best
 
     sf = "/root/testdata/sf0.001"
-    driver = minhash_keep_best(sf)
-    distributed = minhash_keep_best(sf, driver_threshold=0)
-    assert driver.reset_index(drop=True).equals(distributed.reset_index(drop=True))
+    driver = minhash_keep_best(sf).reset_index(drop=True)
+    for tier in forced_closure_tiers():
+        assert driver.equals(minhash_keep_best(sf).reset_index(drop=True)), tier
 
 
 def test_keep_best_consistent_with_census(ray_session):

@@ -107,16 +107,16 @@ def test_setsim_finds_every_true_match(ray_session, tmp_path, n, seed):
     assert int(got["n_docs"].iloc[0]) == n
 
 
-def test_survivorship_tiers_identical(ray_session, tmp_path, monkeypatch):
-    from kawa_ray.pipelines import blocking_ops, docs
+def test_survivorship_tiers_identical(ray_session, tmp_path,
+                                     forced_closure_tiers):
+    from kawa_ray.pipelines import blocking_ops
 
     sf = _word_docs(tmp_path, 40, 9, vocab_size=5)
     base = blocking_ops.cluster_survivorship_census(sf)
     assert int(base["n_clusters"].sum()) >= 1
-    # force the broadcast-LP mid tier (edges above the driver threshold)
-    monkeypatch.setattr(docs, "_DRIVER_EDGE_THRESHOLD", 0)
-    mid = blocking_ops.cluster_survivorship_census(sf)
-    pd.testing.assert_frame_equal(base, mid)
+    for tier in forced_closure_tiers():
+        pd.testing.assert_frame_equal(
+            base, blocking_ops.cluster_survivorship_census(sf), obj=tier)
 
 
 def test_block_cleaning_lazy_path_identical(ray_session, tmp_path,

@@ -3,12 +3,18 @@
 
 import os
 
+import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
 from kawa_ray.config import LinkageConfig
 from kawa_ray.eval.pairwise import gold_labeled_pairs, pairwise_f1
 from kawa_ray.sources.pages import ensure_pages
+
+
+def _sorted_clusters(res) -> pd.DataFrame:
+    return (res["clusters"].to_pandas().sort_values("mention_id")
+            .reset_index(drop=True))
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +39,22 @@ def test_mention_spill_path_identical(linked):
     spilled = link_pages(d, replace(LinkageConfig(), mention_spill_pages=0))
     assert spilled["norm2cluster"] == res["norm2cluster"]
     assert spilled["mentions"].count() == res["mentions"].count()
-    a = spilled["clusters"].to_pandas().sort_values("mention_id").reset_index(drop=True)
-    b = res["clusters"].to_pandas().sort_values("mention_id").reset_index(drop=True)
-    import pandas as pd
+    pd.testing.assert_frame_equal(_sorted_clusters(spilled), _sorted_clusters(res))
 
-    pd.testing.assert_frame_equal(a, b)
+
+def test_distributed_graph_phase_identical(linked):
+    """With driver_pair_threshold=0 pair generation and scoring take
+    their distributed tiers (hash-partitioned shuffles, scoring actor
+    pool); the clusters must equal the default driver-tier run's."""
+    from dataclasses import replace
+
+    from kawa_ray.pipelines.linkage import link_pages
+
+    d, res, _ = linked
+    dist = link_pages(d, replace(LinkageConfig(), driver_pair_threshold=0))
+    assert dist["norm2cluster"] == res["norm2cluster"]
+    assert dist["n_pairs"] == res["n_pairs"]
+    pd.testing.assert_frame_equal(_sorted_clusters(dist), _sorted_clusters(res))
 
 
 def test_pairwise_f1_meets_north_rule(linked):
@@ -91,7 +108,7 @@ def test_union_find_matches_label_propagation(ray_session):
     edges = [("a", "b"), ("b", "c"), ("d", "e"), ("f", "f")]
     uf = union_find_components(edges)
     ds = rd.from_items([{"a": a, "b": b} for a, b in edges])
-    lp = {r["node"]: r["label"] for r in label_propagation_components(ds).take_all()}
+    lp = {r["node"]: r["lbl"] for r in label_propagation_components(ds).take_all()}
     for n in ("a", "b", "c", "d", "e"):
         for m in ("a", "b", "c", "d", "e"):
             assert (uf[n] == uf[m]) == (lp[n] == lp[m]), (n, m)
@@ -121,6 +138,23 @@ def test_pair_paths_agree(ray_session):
     d_pairs = {(r["a"], r["b"]) for r in driver.take_all()}
     x_pairs = {(r["a"], r["b"]) for r in dist.take_all()}
     assert d_pairs == x_pairs and len(d_pairs) > 0
+
+
+def test_graph_phase_without_pairs(ray_session):
+    """Norms that share no block key give zero candidate pairs; scoring
+    and closure must pass the empty set through and leave every norm its
+    own cluster."""
+    import ray.data as rd
+
+    from kawa_ray.pipelines.linkage import candidate_pairs, cluster_norms, score_pairs
+
+    cfg = LinkageConfig()
+    nodes = rd.from_pandas(pd.DataFrame({"norm": ["zzqx", "yyqw"],
+                                         "n_mentions": [1, 1]})).materialize()
+    pairs = candidate_pairs(nodes, cfg)
+    assert pairs.count() == 0
+    scored = score_pairs(pairs, cfg).materialize()
+    assert cluster_norms(scored, nodes, cfg) == {"zzqx": "zzqx", "yyqw": "yyqw"}
 
 
 def test_regex_ner_fires_on_corpus(ray_session):
@@ -246,22 +280,18 @@ def test_bcubed_reaches_blocking_ceiling(linked):
     assert m["b3_f1"] >= ceiling["b3_f1"] - 1e-9, (m, ceiling)
 
 
-def test_component_paths_agree_on_random_graph(ray_session):
-    """Driver union-find vs broadcast label propagation on a seeded
+def test_component_paths_agree_on_random_graph(ray_session,
+                                               forced_closure_tiers):
+    """closure_labels on every tier (driver union-find, broadcast label
+    propagation, bucketed label propagation) vs union-find on a seeded
     random graph (path chains for diameter + random cross edges +
-    a self-loop isolate) — the 6-edge fixtures above pin the API, this
-    pins the algorithm on adversarial component structure.  The
-    bucketed variant is covered in-suite by its fixture test, the
-    diameter-99 path test above (pointer-jumping round bound), and the
-    dedup-census paths-agree tests, which run it over real corpus
-    edges."""
+    self-loop isolates) — the 6-edge fixtures above pin the API, this
+    pins the algorithm on adversarial component structure; the
+    diameter-99 path test above pins the bucketed tier's round bound."""
     import numpy as np
     import ray.data as rd
 
-    from kawa_ray.stages.clustering import (
-        label_propagation_components,
-        union_find_components,
-    )
+    from kawa_ray.stages.clustering import closure_labels, union_find_components
 
     rng = np.random.default_rng(7)
     edges: list[tuple[str, str]] = []
@@ -278,9 +308,14 @@ def test_component_paths_agree_on_random_graph(ray_session):
 
     want = union_find_components(edges)
     ds = rd.from_items([{"a": a, "b": b} for a, b in edges])
-    lp = {r["node"]: r["label"]
-          for r in label_propagation_components(ds).take_all()}
-    assert lp == want
+
+    def labels() -> dict:
+        df = closure_labels(ds).to_pandas()
+        return dict(zip(df["node"], df["lbl"]))
+
+    assert labels() == want
+    for tier in forced_closure_tiers():
+        assert labels() == want, tier
 
 
 def test_build_nodes_paths_agree(ray_session):

@@ -194,3 +194,68 @@ def test_embedding_neardup_tiers_identical(ray_session, monkeypatch):
     scale = V.embedding_neardup_pairs(sf_dir).reset_index(drop=True)
     assert len(small) > 0
     pd.testing.assert_frame_equal(small, scale)
+
+
+def _margin_census_vs_duckdb(tmp_path, ids, vecs):
+    """Run margin_bitext_census on an embeddings table built from
+    (ids, vecs) and assert it equals the DuckDB oracle; returns it."""
+    import duckdb
+    import pandas as pd
+    import pyarrow as pa
+
+    from kawa_ray.pipelines.vectors import MARGIN_BITEXT_SQL, margin_bitext_census
+
+    path = tmp_path / "embeddings.parquet"
+    pq.write_table(pa.table({
+        "vec_id": pa.array(ids, pa.int64()),
+        "embedding": pa.array([[float(x) for x in v] for v in vecs],
+                              pa.list_(pa.float32())),
+    }), str(path))
+    got = margin_bitext_census(str(tmp_path))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{path}')")
+    want = con.execute(MARGIN_BITEXT_SQL).df().astype("int64")
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
+    return got
+
+
+def test_margin_census_rounds_half_away_from_zero(ray_session, tmp_path):
+    """cos(src, t1) is exactly 1/32, so cos * 1e4 = 312.5: DuckDB's ROUND
+    gives 313 (half to even would give 312), and with the two cos = -1/4
+    targets that one unit moves the only source from bucket 10 to 11."""
+    got = _margin_census_vs_duckdb(tmp_path, [0, 1, 3, 5], [
+        (1, 0, 0, 0, 0),      # source
+        (1, 31, 7, 3, 2),     # |t1| = 32
+        (-1, 3, 2, 1, 1),     # |t2| = 4
+        (-1, 1, 1, 2, 3),     # |t3| = 4
+    ])
+    assert got.to_dict("list") == {"margin_bucket": [11], "n_pairs": [1]}
+
+
+def test_margin_census_negative_odd_id_is_neither_side(ray_session, tmp_path):
+    """SQL -3 % 2 = -1: a negative odd id is neither a source nor a
+    target.  Vector -3 duplicates source 0, so counting it as a target
+    would move source 0 to the top bucket."""
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    vecs = rng.standard_normal((8, 6))
+    vecs[0] = vecs[7]
+    got = _margin_census_vs_duckdb(tmp_path, [0, 1, 2, 3, 4, 5, -2, -3], vecs)
+    assert int(got["n_pairs"].sum()) == 4  # sources 0, 2, 4, -2
+
+
+def test_margin_census_multi_batch_source_stream(ray_session, tmp_path):
+    """More sources than one 2048-row batch, drawn from five directions,
+    so every target's top-k ties across batches and is only right if the
+    per-batch top-k fold keeps the (c DESC, src ASC) order."""
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    n_src, n_tgt, dim = 4300, 6, 8
+    base = rng.standard_normal((5, dim))
+    src = base[rng.integers(0, 5, size=n_src)]
+    tgt = rng.standard_normal((n_tgt, dim))
+    ids = [2 * i for i in range(n_src)] + [2 * i + 1 for i in range(n_tgt)]
+    got = _margin_census_vs_duckdb(tmp_path, ids, np.vstack([src, tgt]))
+    assert int(got["n_pairs"].sum()) == n_src

@@ -180,18 +180,20 @@ def forced_bucketed_cluster_census() -> dict:
     import pandas as pd
 
     import kawa_ray.pipelines.blocking_ops as bo
+    import kawa_ray.stages.clustering as cl
 
     t0 = time.perf_counter()
     default = bo.multirule_cluster_census(DST)
     t_default = time.perf_counter() - t0
-    old = bo._BCAST_NODE_LIMIT
-    bo._BCAST_NODE_LIMIT = 0  # force the bucketed scale tier
+    old = cl._DRIVER_EDGE_THRESHOLD, cl._BCAST_NODE_LIMIT
+    # force the bucketed scale tier whatever the edge count
+    cl._DRIVER_EDGE_THRESHOLD = cl._BCAST_NODE_LIMIT = 0
     try:
         t0 = time.perf_counter()
         forced = bo.multirule_cluster_census(DST)
         t_forced = time.perf_counter() - t0
     finally:
-        bo._BCAST_NODE_LIMIT = old
+        cl._DRIVER_EDGE_THRESHOLD, cl._BCAST_NODE_LIMIT = old
     pd.testing.assert_frame_equal(
         default.reset_index(drop=True), forced.reset_index(drop=True))
     return {"x16_default_sec": round(t_default, 2),
