@@ -125,8 +125,6 @@ class LinkageConfig:
     exact_match_is_edge: bool = True
 
     # Execution
-    # requested pool sizes; linkage._pool_size clamps them so the pool
-    # never reserves every CPU (upstream read tasks need slots)
     # keyed-node row count below which pair generation runs driver-side
     # (three shuffles on distinct-surface-sized data cost more than the
     # work; above it the hash-partitioned distributed path runs)
@@ -141,7 +139,12 @@ class LinkageConfig:
     # corpus-sized intermediate off the object store entirely.
     mention_spill_pages: int = 200_000
 
+    # detection runs as tasks over every CPU; its batch size is per task
     detect_batch_size: int = 512
+    # requested actor-pool sizes; linkage._pool_size clamps them so a
+    # pool never reserves every CPU (upstream read tasks need slots).
+    # detect_concurrency sizes only the context branch's embedding pool
+    # (embedding_source="context"); mention detection starts no pool
     detect_concurrency: int = 30
     score_batch_size: int = 4096
     score_concurrency: int = 8

@@ -9,8 +9,8 @@ variants), GOVT_ID, ICD_CODE — written from scratch as compact patterns
 reference's enumerated TLD list, and USER_NAME matches @handles anywhere
 rather than only at line start).
 
-Patterns are compiled once at import; the detection actor reuses them
-per batch (stateful-setup-once rule).
+Patterns are compiled once at import; each detection worker process
+reuses them per batch (stateful-setup-once rule).
 
 Scan strategy (hot path — this function is ~1/3 of the per-doc cost of
 the fused extract+detect stage): instead of 16 full-text ``finditer``

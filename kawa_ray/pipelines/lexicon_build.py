@@ -12,7 +12,7 @@ by input order.  Equality is asserted in tests/test_lexicon_distributed.py.
 
 The per-level groupby shuffles (shingle_key, bucket) — lexicon-sized,
 not corpus-sized; the assembled artifact is then frozen and broadcast to
-detection actors exactly like the single-process build.
+the detection workers exactly like the single-process build.
 """
 
 from __future__ import annotations

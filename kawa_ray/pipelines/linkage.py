@@ -33,13 +33,15 @@ _ARTIFACT_CACHE: dict[str, object] = {}
 
 
 def _pool_size(requested: int) -> int:
-    """Actor-pool size that always leaves CPUs for upstream read/task
-    operators — a pool that reserves every CPU starves the producers and
-    the pipeline stalls (ray_guide 'Stateful stages').  The reserve is
-    sized to the cluster (1 CPU up to 8, 2 above): a flat reserve of 2
-    left only 50% of a 4-CPU cluster detecting, which showed up as fake
-    super-linear 4->16 scaling (detect-CPU-normalised throughput was
-    equal at 4 and 8 CPUs — BASELINE.md round-4 analysis)."""
+    """Actor-pool size (scoring, context embedding, checkpointed shard
+    workers, media features) that always leaves CPUs for upstream
+    read/task operators — a pool that reserves every CPU starves the
+    producers and the pipeline stalls (ray_guide 'Stateful stages').  The
+    reserve is sized to the cluster (1 CPU up to 8, 2 above): a flat
+    reserve of 2 left only 50% of a 4-CPU cluster in the pool, which
+    showed up as fake super-linear 4->16 scaling (BASELINE.md round-4
+    analysis, when detection still ran in such a pool; it now runs as
+    tasks over every CPU)."""
     try:
         total = int(ray.cluster_resources().get("CPU", 4))
     except Exception:
@@ -88,7 +90,7 @@ def read_pages(pages_dir: str) -> rd.Dataset:
 def detect_mentions(pages_ds: rd.Dataset, cfg: LinkageConfig | None = None,
                     lexicon: LexiconIndex | None = None,
                     n_entities: int = 300) -> rd.Dataset:
-    """S1+S2: pages -> mentions Dataset.  Detection actors carry the
+    """S1+S2: pages -> mentions Dataset.  The detector carries the
     per-language exact lexicons (reference {lang}.json resources) as the
     highest-precedence lookup layer."""
     from kawa_ray.state.lang_resources import target_lexicons_by_lang
@@ -96,11 +98,8 @@ def detect_mentions(pages_ds: rd.Dataset, cfg: LinkageConfig | None = None,
     cfg = cfg or LinkageConfig()
     if lexicon is None:
         lexicon, _ = default_artifacts(n_entities)
-    lex_ref = ray.put(lexicon.to_bytes())
-    texts = extract_stage(pages_ds)
     return mention_stage(
-        texts, lex_ref, batch_size=cfg.detect_batch_size,
-        concurrency=_pool_size(cfg.detect_concurrency),
+        extract_stage(pages_ds), lexicon, batch_size=cfg.detect_batch_size,
         lang_lexicons=target_lexicons_by_lang(n_entities),
     )
 
@@ -334,10 +333,8 @@ def link_pages(pages_dir: str, cfg: LinkageConfig | None = None,
             None, lexicon, concurrency=_pool_size(cfg.detect_concurrency),
             texts_ds=texts,
         )
-        lex_ref = ray.put(lexicon.to_bytes())
         mentions = pin_or_spill(mention_stage(
-            texts, lex_ref, batch_size=cfg.detect_batch_size,
-            concurrency=_pool_size(cfg.detect_concurrency),
+            texts, lexicon, batch_size=cfg.detect_batch_size,
             lang_lexicons=target_lexicons_by_lang(n_entities),
         ), "mentions")
     else:

@@ -35,7 +35,7 @@ import ray.data as rd
 
 from kawa_ray.config import LinkageConfig
 from kawa_ray.stages.extract import extract_batch
-from kawa_ray.stages.mentions import MentionDetector
+from kawa_ray.stages.mentions import detector_spec, worker_detector
 from kawa_ray.state.checkpoint import (
     ShardWorker,
     StageManifest,
@@ -61,11 +61,12 @@ def config_fingerprint(cfg: LinkageConfig, n_entities: int,
 
 
 class MentionShardWorker(ShardWorker):
-    """S1+S2 per shard; lexicon loaded once per actor (broadcast ref)."""
+    """S1+S2 per shard; the detector comes from the same
+    ``detector_spec`` as ``link_pages``' detection tasks."""
 
-    def __init__(self, stage, out_dir, fingerprint, lexicon_ref=None):
+    def __init__(self, stage, out_dir, fingerprint, spec=None):
         super().__init__(stage, out_dir, fingerprint, columns=["url", "html", "lang"])
-        self.detector = MentionDetector(lexicon_ref=lexicon_ref)
+        self.detector = worker_detector(spec)
 
     def transform(self, table: pa.Table, pid: int) -> pa.Table:
         return self.detector(extract_batch(table))
@@ -154,6 +155,7 @@ def link_pages_checkpointed(pages_dir: str, out_root: str,
     """Resumable end-to-end linkage.  Returns
     ``{clusters: Dataset, norm2cluster: dict, manifests: {stage: dict}}``."""
     from kawa_ray.pipelines.linkage import _pool_size, default_artifacts
+    from kawa_ray.state.lang_resources import target_lexicons_by_lang
 
     cfg = cfg or LinkageConfig()
     fp = config_fingerprint(cfg, n_entities, pages_dir)
@@ -162,7 +164,8 @@ def link_pages_checkpointed(pages_dir: str, out_root: str,
 
     m_mentions = run_sharded_stage(
         shards, "mentions", out_root, fp, MentionShardWorker,
-        {"lexicon_ref": ray.put(lexicon.to_bytes())},
+        {"spec": detector_spec(
+            lexicon, lang_lexicons=target_lexicons_by_lang(n_entities))},
         concurrency=_pool_size(concurrency),
     )
     cmap = _graph_stage(out_root, fp, cfg, embed_obj)

@@ -1,17 +1,26 @@
-"""S2 — mention detection: stateful actor-pool map_batches stage.
+"""S2 — mention detection: a task-based ``map_batches`` stage.
 
-The lexicon artifact is loaded ONCE per actor in ``__init__`` (mirroring
-the reference's class-level lexicon cache,
-/root/reference/ontology/ontology_manager.py:90-106) from either a
-``ray.ObjectRef`` (broadcast via ``ray.put``) or an artifact path.
-Per-batch work is a per-doc greedy detect (docs are the parallel unit —
-never split across batches) plus the regex NER extractors.
+Each batch gets its ``MentionDetector`` from a one-entry cache in the
+worker process (``worker_detector``), keyed by a content digest of
+everything the detector is built from: the lexicon, the per-language
+target lexicons and the regex-NER switch (mirroring the reference's
+class-level lexicon cache, ontology_manager.py:90-106).
+Ray pools task workers across Dataset executions, so a worker unpickles
+the lexicon once per session and keeps its lookup memos warm across
+batches and ``link_pages`` calls; the broadcast ref is read only on a
+miss.  The detector is a pure function of its inputs, so a lost worker
+only recomputes.  Per-batch work is a per-doc greedy detect (docs are
+the parallel unit — never split across batches) plus the regex NER
+extractors.
 
 Output mention schema (SURVEY.md §1.3):
 ``url, mention_id, surface, norm, start, end, label, lang``.
 """
 
 from __future__ import annotations
+
+import hashlib
+import pickle
 
 import pyarrow as pa
 
@@ -41,20 +50,12 @@ def mention_id_of(url: str, norm: str, occ: int) -> int:
 
 
 class MentionDetector:
-    """Actor-pool callable: lexicon pinned per worker."""
+    """Batch callable over (url, text, lang) tables; holds the lexicon
+    and its memos."""
 
-    def __init__(self, lexicon_ref=None, lexicon_path: str | None = None,
-                 with_regex_ner: bool = True,
+    def __init__(self, lexicon: LexiconIndex, with_regex_ner: bool = True,
                  lang_lexicons: dict[str, dict] | None = None):
-        if lexicon_ref is not None:
-            import ray
-
-            obj = ray.get(lexicon_ref)
-            self.lexicon = obj if isinstance(obj, LexiconIndex) else LexiconIndex.from_bytes(obj)
-        elif lexicon_path is not None:
-            self.lexicon = LexiconIndex.load(lexicon_path)
-        else:
-            raise ValueError("need lexicon_ref or lexicon_path")
+        self.lexicon = lexicon
         self.with_regex_ner = with_regex_ner
         # per-language exact lexicons (reference per-lang {lang}.json files
         # loaded into the target-language lookup layer,
@@ -62,7 +63,7 @@ class MentionDetector:
         self.lang_lexicons = lang_lexicons or {}
         # surface -> norm memo: surfaces repeat heavily across docs (same
         # entities); bounded so regex-typed surfaces (phone numbers, IPs —
-        # unbounded vocab at corpus scale) can't grow the actor heap
+        # unbounded vocab at corpus scale) can't grow the worker heap
         self._norm_cache: dict[str, str] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -99,16 +100,48 @@ class MentionDetector:
         return pa.Table.from_pydict(out, schema=MENTION_SCHEMA)
 
 
-def mention_stage(ds, lexicon_ref, batch_size: int = 256, concurrency: int = 4,
+def detector_spec(lexicon: LexiconIndex, with_regex_ner: bool = True,
+                  lang_lexicons: dict[str, dict] | None = None):
+    """``(key, ref)`` naming one detector: ``ref`` holds the pickled
+    inputs, ``key`` is their content digest (never an ObjectRef or
+    ``id()``, which name a copy rather than its content)."""
+    import ray
+
+    blob = pickle.dumps((lexicon, lang_lexicons or {}, with_regex_ner),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.blake2b(blob, digest_size=16).hexdigest(), ray.put(blob)
+
+
+# this worker process's detector: (key, MentionDetector) or None
+_WORKER_DETECTOR: tuple[str, MentionDetector] | None = None
+
+
+def worker_detector(spec) -> MentionDetector:
+    """The detector for ``spec``, built at most once per worker process
+    while its key stays current; a new key replaces the entry."""
+    global _WORKER_DETECTOR
+    key, ref = spec
+    if _WORKER_DETECTOR is None or _WORKER_DETECTOR[0] != key:
+        import ray
+
+        _WORKER_DETECTOR = None  # free the old detector before building
+        lexicon, lang_lexicons, with_regex_ner = pickle.loads(ray.get(ref))
+        _WORKER_DETECTOR = (key, MentionDetector(lexicon, with_regex_ner,
+                                                 lang_lexicons))
+    return _WORKER_DETECTOR[1]
+
+
+def detect_batch(batch: pa.Table, spec) -> pa.Table:
+    return worker_detector(spec)(batch)
+
+
+def mention_stage(ds, lexicon: LexiconIndex, batch_size: int = 256,
                   with_regex_ner: bool = True,
                   lang_lexicons: dict[str, dict] | None = None):
-    """Attach S2 to a (url, text, lang) Dataset as an actor pool."""
+    """Attach S2 to a (url, text, lang) Dataset as stateless tasks."""
     return ds.map_batches(
-        MentionDetector,
-        fn_constructor_kwargs={"lexicon_ref": lexicon_ref,
-                               "with_regex_ner": with_regex_ner,
-                               "lang_lexicons": lang_lexicons},
+        detect_batch,
+        fn_kwargs={"spec": detector_spec(lexicon, with_regex_ner, lang_lexicons)},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )

@@ -112,7 +112,7 @@ def apply_target_lang(lexicon, res: dict, label: str = "PERSON"):
 
 
 def target_lexicons_by_lang(n_entities: int = 300) -> dict[str, dict]:
-    """lang -> {norm: label} exact lexicons for the detection actors."""
+    """lang -> {norm: label} exact lexicons for mention detection."""
     return {
         lang: dict(res.get("NAME2LABEL", {}))
         for lang, res in build_lang_resources(n_entities).items()

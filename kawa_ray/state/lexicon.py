@@ -60,7 +60,7 @@ import math
 
 @dataclass
 class LexiconIndex:
-    """Frozen multi-level lexicon; built once, broadcast to detection actors."""
+    """Frozen multi-level lexicon; built once, broadcast to detection workers."""
 
     levels: list[dict] = field(default_factory=list)   # shingle levels, 0..depth-1
     residual: dict = field(default_factory=dict)       # exact word -> label
@@ -344,7 +344,7 @@ class LexiconIndex:
         # tiny key space (start words truncated to the level-0 cutoff)
         bcache = self.__dict__.setdefault("_bounds_cache", {})
         # lookup memo: (lang, caps flag, target-lexicon identity, surface).
-        # target lexicons are held for the lifetime of the detection actor
+        # target lexicons live as long as the detector holding this index
         # (stages/mentions.py) so id() is a stable discriminator here.
         lcache = self.__dict__.setdefault("_lookup_cache", {})
         # token-prep memo, one dict per language (stopword sets differ):
@@ -498,6 +498,13 @@ class LexiconIndex:
             connector=payload.get("connector", CONNECTOR),
             compound_word_step=payload.get("compound_word_step", COMPOUND_WORD_STEP),
         )
+
+    def __getstate__(self) -> dict:
+        # the detect() memos stay behind: they are process-local (keyed
+        # on id() of target lexicons) and would make equal lexicons
+        # pickle to different bytes
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_bounds_cache", "_lookup_cache", "_tok_cache")}
 
     def to_bytes(self) -> bytes:
         """Compact binary form for ``ray.put`` broadcast."""

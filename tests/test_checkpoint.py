@@ -39,6 +39,23 @@ def test_checkpointed_matches_direct(ckpt_run):
     assert _cluster_map(res["clusters"]) == _cluster_map(direct["clusters"])
 
 
+def test_checkpointed_mentions_match_direct(ckpt_run):
+    """Both entry points build their detector from the same inputs, so
+    the checkpointed mentions parts equal link_pages' mentions."""
+    import pandas as pd
+
+    pages_dir, root, _res = ckpt_run
+    cols = ["mention_id", "surface", "norm", "start", "end", "label"]
+
+    def rows(df):
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    parts = pd.read_parquet(os.path.join(root, "mentions"))
+    direct = link_pages(pages_dir)["mentions"].to_pandas()
+    assert len(parts) > 0
+    pd.testing.assert_frame_equal(rows(parts), rows(direct))
+
+
 def test_manifest_lineage_and_metrics(ckpt_run):
     _pages, root, res = ckpt_run
     for stage in ("mentions", "graph", "clusters"):

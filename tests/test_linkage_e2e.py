@@ -233,6 +233,65 @@ def test_clusters_invariant_to_batching(ray_session):
     assert a["n_pairs"] == b["n_pairs"]
 
 
+def test_detector_cache_follows_its_inputs(ray_session):
+    """Detection tasks reuse one detector per worker process, keyed by a
+    digest of what it is built from (lexicon, per-language lexicons,
+    regex-NER switch).  The calls below change those inputs on the same
+    pooled workers; each must match an in-process detector over the same
+    texts, so a key that omits an input fails.  Which worker runs a task
+    is up to Ray, so each step also goes through this process's cache."""
+    import pyarrow as pa
+
+    from kawa_ray.pipelines.linkage import (
+        default_artifacts, detect_mentions, extract_stage, read_pages,
+    )
+    from kawa_ray.stages.mentions import (
+        MentionDetector, detector_spec, mention_stage, worker_detector,
+    )
+    from kawa_ray.state.lang_resources import target_lexicons_by_lang
+
+    d = ensure_pages("0.001")
+    cfg = LinkageConfig()
+
+    def table(ds):
+        return pa.concat_tables(
+            list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
+
+    def stage(lex, regex, lang_lex):
+        return mention_stage(extract_stage(read_pages(d)), lex,
+                             batch_size=cfg.detect_batch_size,
+                             with_regex_ner=regex, lang_lexicons=lang_lex)
+
+    texts = table(extract_stage(read_pages(d)))
+    lex_a, _ = default_artifacts(300)
+    lex_b, _ = default_artifacts(120)
+    lang_a, lang_b = target_lexicons_by_lang(300), target_lexicons_by_lang(120)
+    # same keys, other labels: changes the output through that layer only
+    relabel = {lang: {k: ("ORG" if v == "PERSON" else "PERSON")
+                      for k, v in tl.items()} for lang, tl in lang_a.items()}
+    # after the first two, each step changes exactly one input
+    steps = [
+        ((lex_a, True, lang_a), detect_mentions(read_pages(d), cfg, lex_a, 300)),
+        ((lex_b, True, lang_b), detect_mentions(read_pages(d), cfg, lex_b, 120)),
+        ((lex_a, True, lang_b), stage(lex_a, True, lang_b)),
+        ((lex_a, True, relabel), stage(lex_a, True, relabel)),
+        ((lex_a, False, relabel), stage(lex_a, False, relabel)),
+        ((lex_a, True, lang_a), detect_mentions(read_pages(d), cfg, lex_a, 300)),
+    ]
+    prev = None
+    for inputs, ds in steps:
+        got = table(ds).to_pandas().sort_values("mention_id").reset_index(drop=True)
+        want = (MentionDetector(*inputs)(texts).to_pandas()
+                .sort_values("mention_id").reset_index(drop=True))
+        pd.testing.assert_frame_equal(got, want)
+        local = worker_detector(detector_spec(*inputs))(texts).to_pandas()
+        pd.testing.assert_frame_equal(
+            local.sort_values("mention_id").reset_index(drop=True), want)
+        # each step changes the output, so a stale detector cannot pass
+        assert prev is None or not got.equals(prev)
+        prev = got
+
+
 def test_bcubed_hand_computed():
     """B³ on the textbook example: gold {a,b,c | d,e}, predicted {a,b | c,d,e}.
 

@@ -76,6 +76,12 @@ def main() -> None:
     res["linkage_norm2cluster"] = hashlib.md5(
         json.dumps(sorted(lk["norm2cluster"].items())).encode()
     ).hexdigest()
+    # detection output must not depend on CPU count or task split either
+    mentions = (lk["mentions"].to_pandas().sort_values("mention_id")
+                .reset_index(drop=True))
+    res["linkage_mentions"] = hashlib.md5(
+        mentions.to_csv(index=False).encode()
+    ).hexdigest()
 
     with open(out_path, "w") as f:
         json.dump(res, f)
