@@ -35,6 +35,7 @@ import ray
 import ray.data as rd
 
 from kawa_ray.stages.distinct import partition_reduce
+from kawa_ray.stages.spill import pinned_or_spilled
 
 
 def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
@@ -814,24 +815,10 @@ def _gold_pairs_fold(g: pd.DataFrame) -> pd.DataFrame:
                                         dtype="int64")})
 
 
+# the (doc_id, glbl) gold stream feeds several folds (its text read +
+# md5 pass would otherwise re-run per consumer): pinned up to this many
+# docs, spilled to parquet beyond
 _GOLD_PIN_DOCS = 2_000_000
-
-
-def _pin_gold(gold, n_docs: int):
-    """Pin-or-spill the (doc_id, glbl) gold stream for multi-consumer
-    censuses (it is otherwise a lazy dataset whose text-read + md5 pass
-    re-runs per consumer): object-store pin below 2M docs, /tmp parquet
-    beyond (the paragraph-census spill convention).  Returns
-    (gold, cleanup) — call cleanup() after the last fold."""
-    if n_docs <= _GOLD_PIN_DOCS:
-        return gold.materialize(), lambda: None
-    import shutil
-    import tempfile
-
-    spill = tempfile.mkdtemp(prefix="gold-hash-", dir=tempfile.gettempdir())
-    gold.write_parquet(spill)
-    return rd.read_parquet(spill), \
-        lambda: shutil.rmtree(spill, ignore_errors=True)
 
 
 def cluster_ari_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
@@ -859,57 +846,56 @@ def cluster_ari_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     n_docs = int(docs.count())
 
-    gold, gold_cleanup = _pin_gold(
-        docs.map_batches(_gold_hash_rows, batch_format="pandas"), n_docs)
-
-    # same_gold: C(group,2) summed over exact-text groups, full corpus
-    same_gold = 0
-    for b in partition_reduce(gold, "glbl", _gold_pairs_fold) \
-            .iter_batches(batch_format="pandas"):
-        same_gold += int(b["s"].sum())
-
-    same_both = 0
-    same_pred = 0
-    if labels_ds is not None:
-        def g_rows(df: pd.DataFrame) -> pd.DataFrame:
-            # numpy construction: dict-of-Series ALIGNS on index, and
-            # frames from map_groups/map_batches carry arbitrary indices
-            return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                 "glbl": df["glbl"].to_numpy(dtype=object),
-                                 "lbl": pd.Series([None] * len(df),
-                                                  dtype="object")})
-
-        def l_rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                 "glbl": pd.Series([None] * len(df),
-                                                   dtype="object"),
-                                 "lbl": df["lbl"].to_numpy(dtype=object)})
-
-        def attach(g: pd.DataFrame) -> pd.DataFrame:
-            labs = g.loc[g["lbl"].notna(), ["doc_id", "lbl"]]
-            gg = g.loc[g["lbl"].isna(), ["doc_id", "glbl"]]
-            return gg.merge(labs, on="doc_id", how="inner")[["lbl", "glbl"]]
-
-        labeled = partition_reduce(
-            gold.map_batches(g_rows, batch_format="pandas")
-            .union(labels_ds.map_batches(l_rows, batch_format="pandas")),
-            "doc_id", attach)
-
-        def cont_part(g: pd.DataFrame) -> pd.DataFrame:
-            nij = g.groupby(["lbl", "glbl"]).size().to_numpy("int64")
-            np_ = g.groupby("lbl").size().to_numpy("int64")
-            return pd.DataFrame({
-                "sb": pd.Series([int((nij * (nij - 1) // 2).sum())],
-                                dtype="int64"),
-                "sp": pd.Series([int((np_ * (np_ - 1) // 2).sum())],
-                                dtype="int64")})
-
-        for b in partition_reduce(labeled, "lbl", cont_part) \
+    with pinned_or_spilled(
+            docs.map_batches(_gold_hash_rows, batch_format="pandas"),
+            n_docs > _GOLD_PIN_DOCS, "gold-hash-") as gold:
+        # same_gold: C(group,2) summed over exact-text groups, full corpus
+        same_gold = 0
+        for b in partition_reduce(gold, "glbl", _gold_pairs_fold) \
                 .iter_batches(batch_format="pandas"):
-            same_both += int(b["sb"].sum())
-            same_pred += int(b["sp"].sum())
+            same_gold += int(b["s"].sum())
 
-    gold_cleanup()
+        same_both = 0
+        same_pred = 0
+        if labels_ds is not None:
+            def g_rows(df: pd.DataFrame) -> pd.DataFrame:
+                # numpy construction: dict-of-Series ALIGNS on index, and
+                # frames from map_groups/map_batches carry arbitrary indices
+                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
+                                     "glbl": df["glbl"].to_numpy(dtype=object),
+                                     "lbl": pd.Series([None] * len(df),
+                                                      dtype="object")})
+
+            def l_rows(df: pd.DataFrame) -> pd.DataFrame:
+                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
+                                     "glbl": pd.Series([None] * len(df),
+                                                       dtype="object"),
+                                     "lbl": df["lbl"].to_numpy(dtype=object)})
+
+            def attach(g: pd.DataFrame) -> pd.DataFrame:
+                labs = g.loc[g["lbl"].notna(), ["doc_id", "lbl"]]
+                gg = g.loc[g["lbl"].isna(), ["doc_id", "glbl"]]
+                return gg.merge(labs, on="doc_id", how="inner")[["lbl", "glbl"]]
+
+            labeled = partition_reduce(
+                gold.map_batches(g_rows, batch_format="pandas")
+                .union(labels_ds.map_batches(l_rows, batch_format="pandas")),
+                "doc_id", attach)
+
+            def cont_part(g: pd.DataFrame) -> pd.DataFrame:
+                nij = g.groupby(["lbl", "glbl"]).size().to_numpy("int64")
+                np_ = g.groupby("lbl").size().to_numpy("int64")
+                return pd.DataFrame({
+                    "sb": pd.Series([int((nij * (nij - 1) // 2).sum())],
+                                    dtype="int64"),
+                    "sp": pd.Series([int((np_ * (np_ - 1) // 2).sum())],
+                                    dtype="int64")})
+
+            for b in partition_reduce(labeled, "lbl", cont_part) \
+                    .iter_batches(batch_format="pandas"):
+                same_both += int(b["sb"].sum())
+                same_pred += int(b["sp"].sum())
+
     if n_docs < 2:
         ari = 1.0
     else:
@@ -1008,69 +994,68 @@ def blocking_quality_census(sf_dir: str, num_perm: int = 64,
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     n_docs = int(docs.count())
 
-    gold, gold_cleanup = _pin_gold(
-        docs.map_batches(_gold_hash_rows, batch_format="pandas"), n_docs)
+    with pinned_or_spilled(
+            docs.map_batches(_gold_hash_rows, batch_format="pandas"),
+            n_docs > _GOLD_PIN_DOCS, "gold-hash-") as gold:
+        n_gold_pairs = 0
+        for b in partition_reduce(gold, "glbl", _gold_pairs_fold) \
+                .iter_batches(batch_format="pandas"):
+            n_gold_pairs += int(b["s"].sum())
 
-    n_gold_pairs = 0
-    for b in partition_reduce(gold, "glbl", _gold_pairs_fold) \
-            .iter_batches(batch_format="pandas"):
-        n_gold_pairs += int(b["s"].sum())
+        n_matched = 0
+        if n_candidates:
+            def edge_rows_a(df: pd.DataFrame) -> pd.DataFrame:
+                # build from numpy: frames out of map_groups carry arbitrary
+                # indices, and dict-of-Series construction ALIGNS on index
+                return pd.DataFrame({"doc_id": df["a"].to_numpy("int64"),
+                                     "b": df["b"].to_numpy("int64"),
+                                     "glbl": pd.Series([None] * len(df),
+                                                       dtype="object")})
 
-    n_matched = 0
-    if n_candidates:
-        def edge_rows_a(df: pd.DataFrame) -> pd.DataFrame:
-            # build from numpy: frames out of map_groups carry arbitrary
-            # indices, and dict-of-Series construction ALIGNS on index
-            return pd.DataFrame({"doc_id": df["a"].to_numpy("int64"),
-                                 "b": df["b"].to_numpy("int64"),
-                                 "glbl": pd.Series([None] * len(df),
-                                                   dtype="object")})
+            def g_mark(df: pd.DataFrame) -> pd.DataFrame:
+                # glbl-is-None marks the edge side (the attach idiom the
+                # sibling censuses use — never an in-band doc_id sentinel)
+                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
+                                     "b": np.zeros(len(df), dtype="int64"),
+                                     "glbl": df["glbl"].to_numpy(dtype=object)})
 
-        def g_mark(df: pd.DataFrame) -> pd.DataFrame:
-            # glbl-is-None marks the edge side (the attach idiom the
-            # sibling censuses use — never an in-band doc_id sentinel)
-            return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                 "b": np.zeros(len(df), dtype="int64"),
-                                 "glbl": df["glbl"].to_numpy(dtype=object)})
+            def attach_a(g: pd.DataFrame) -> pd.DataFrame:
+                labs = g.loc[g["glbl"].notna(), ["doc_id", "glbl"]]
+                ee = g.loc[g["glbl"].isna(), ["doc_id", "b"]]
+                m = ee.merge(labs, on="doc_id", how="inner")
+                return pd.DataFrame({"doc_id": m["b"].to_numpy("int64"),
+                                     "ga": m["glbl"].to_numpy(dtype=object)})
 
-        def attach_a(g: pd.DataFrame) -> pd.DataFrame:
-            labs = g.loc[g["glbl"].notna(), ["doc_id", "glbl"]]
-            ee = g.loc[g["glbl"].isna(), ["doc_id", "b"]]
-            m = ee.merge(labs, on="doc_id", how="inner")
-            return pd.DataFrame({"doc_id": m["b"].to_numpy("int64"),
-                                 "ga": m["glbl"].to_numpy(dtype=object)})
+            half = partition_reduce(
+                edges.map_batches(edge_rows_a, batch_format="pandas")
+                .union(gold.map_batches(g_mark, batch_format="pandas")),
+                "doc_id", attach_a)
 
-        half = partition_reduce(
-            edges.map_batches(edge_rows_a, batch_format="pandas")
-            .union(gold.map_batches(g_mark, batch_format="pandas")),
-            "doc_id", attach_a)
+            def half_rows(df: pd.DataFrame) -> pd.DataFrame:
+                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
+                                     "ga": df["ga"].to_numpy(dtype=object),
+                                     "glbl": pd.Series([None] * len(df),
+                                                       dtype="object")})
 
-        def half_rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                 "ga": df["ga"].to_numpy(dtype=object),
-                                 "glbl": pd.Series([None] * len(df),
-                                                   dtype="object")})
+            def g_mark2(df: pd.DataFrame) -> pd.DataFrame:
+                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
+                                     "ga": pd.Series([None] * len(df),
+                                                     dtype="object"),
+                                     "glbl": df["glbl"].to_numpy(dtype=object)})
 
-        def g_mark2(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                 "ga": pd.Series([None] * len(df),
-                                                 dtype="object"),
-                                 "glbl": df["glbl"].to_numpy(dtype=object)})
+            def attach_b(g: pd.DataFrame) -> pd.DataFrame:
+                labs = g.loc[g["glbl"].notna(), ["doc_id", "glbl"]]
+                ee = g.loc[g["glbl"].isna(), ["doc_id", "ga"]]
+                m = ee.merge(labs, on="doc_id", how="inner")
+                n = int((m["ga"] == m["glbl"]).sum())
+                return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
 
-        def attach_b(g: pd.DataFrame) -> pd.DataFrame:
-            labs = g.loc[g["glbl"].notna(), ["doc_id", "glbl"]]
-            ee = g.loc[g["glbl"].isna(), ["doc_id", "ga"]]
-            m = ee.merge(labs, on="doc_id", how="inner")
-            n = int((m["ga"] == m["glbl"]).sum())
-            return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
+            for b in partition_reduce(
+                    half.map_batches(half_rows, batch_format="pandas")
+                    .union(gold.map_batches(g_mark2, batch_format="pandas")),
+                    "doc_id", attach_b).iter_batches(batch_format="pandas"):
+                n_matched += int(b["n"].sum())
 
-        for b in partition_reduce(
-                half.map_batches(half_rows, batch_format="pandas")
-                .union(gold.map_batches(g_mark2, batch_format="pandas")),
-                "doc_id", attach_b).iter_batches(batch_format="pandas"):
-            n_matched += int(b["n"].sum())
-
-    gold_cleanup()
     pc = 1.0 if n_gold_pairs == 0 else n_matched / n_gold_pairs
     rr = 1.0 if n_docs < 2 else \
         1.0 - n_candidates / (n_docs * (n_docs - 1) // 2)
@@ -1274,7 +1259,7 @@ def block_cleaning_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
     # membership stream is corpus x bands rows — pin it only while the
     # corpus is small; beyond the ceiling leave it lazy and let each
     # consumer recompute the banding pass (CPU for zero object-store
-    # pinning, the pin-or-spill trade linkage.py:268 documents)
+    # pinning, the pin-or-spill trade link_pages.pin_or_spill documents)
     if int(_read_docs(sf_dir, ["doc_id"]).count()) <= _BC_PIN_DOCS:
         sized = sized.materialize()
 

@@ -146,7 +146,7 @@ def docs_clean_dedup_census(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from kawa_ray.functions.minhash import hash64
+    from kawa_ray.stages.distinct import partition_reduce
 
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "lang", "text"])
@@ -156,8 +156,7 @@ def docs_clean_dedup_census(sf_dir: str):
         out = df[_keep_mask(df).to_numpy()].copy()
         out["fingerprint"] = [hashlib.md5(s.encode("utf-8")).hexdigest()
                               for s in out["text"]]
-        out["part"] = [hash64(f) % 64 for f in out["fingerprint"]]
-        return out[["doc_id", "lang", "fingerprint", "part"]]
+        return out[["doc_id", "lang", "fingerprint"]]
 
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id").drop_duplicates("fingerprint")
@@ -165,9 +164,9 @@ def docs_clean_dedup_census(sf_dir: str):
             columns={"size": "n"})
 
     out = (
-        ds.map_batches(filter_and_fingerprint, batch_format="pandas")
-        .groupby("part")
-        .map_groups(keep_first, batch_format="pandas")
+        partition_reduce(
+            ds.map_batches(filter_and_fingerprint, batch_format="pandas"),
+            "fingerprint", keep_first, 64)
         .groupby("lang")
         .aggregate(Sum("n", alias_name="n_survivors"))
         .to_pandas()

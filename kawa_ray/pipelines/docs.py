@@ -32,6 +32,7 @@ from kawa_ray.functions.minhash import (
     word_ngrams,
 )
 from kawa_ray.stages.clustering import _DRIVER_EDGE_THRESHOLD, closure_labels
+from kawa_ray.stages.distinct import partition_distinct, partition_reduce
 
 _WS = re.compile(r"\s+")
 _PUNCT = re.compile(r"[.!?,;:]")
@@ -108,8 +109,6 @@ def doc_fingerprints(sf_dir: str):
 
     # distinct via the shared partitioned distinct (stages/distinct.py)
     # with a fused per-lang partial count — doc-cardinality keys
-    from kawa_ray.stages.distinct import partition_distinct
-
     out = (
         partition_distinct(
             ds.map_batches(fp, batch_format="pyarrow"),
@@ -143,8 +142,6 @@ def exact_dedup_docs(sf_dir: str):
     # fingerprint is corpus-cardinality: hash-partitioned keep-first
     # (the stages/distinct.py per-key rule), with the per-lang census
     # folded in-batch so only (lang, partials) leave the shuffle
-    from kawa_ray.stages.distinct import partition_reduce
-
     def keep_first_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["fingerprint", "doc_id"])
         sizes = g.groupby("fingerprint", sort=False)["doc_id"].transform("size")
@@ -192,8 +189,6 @@ def cross_dump_dedup_census(sf_dir: str):
     content hash (old-side rows tagged), and the membership test runs
     in-batch per partition — never a broadcast old-dump hash set, never
     driver state.  -> per-lang (lang, n_new, n_dup_vs_old)."""
-    from kawa_ray.stages.distinct import partition_reduce
-
     ds = _read_docs(sf_dir, ["doc_id", "lang", "text"])
 
     def key(t: pa.Table) -> pa.Table:
@@ -283,8 +278,6 @@ def cross_dump_banddup_census(sf_dir: str, num_perm: int = 64,
     tagged) hash-partition on the band key for an in-batch membership
     test, per-doc hit flags hash-partition on doc_id for the OR-fold —
     no broadcast old-dump key set, no driver state."""
-    from kawa_ray.stages.distinct import partition_reduce
-
     banded = _cross_dump_band_rows(sf_dir, num_perm, bands)
 
     def hits_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -376,15 +369,7 @@ def cross_dump_neardup_census(sf_dir: str, num_perm: int = 64,
     ("banded new docs" = new docs with ≥1 gram) comes from a separate
     tokenize-only pass that never computes signatures, so the
     expensive MinHash pass runs exactly once."""
-    import ray.data as _rd
-
-    from kawa_ray.stages.distinct import partition_reduce, route_parts
-
     banded = _cross_dump_band_rows(sf_dir, num_perm, bands)
-    P = _PAIR_PARTITIONS
-
-    def addpart(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(part=route_parts(df["band"], P))
 
     def explode(g: pd.DataFrame) -> pd.DataFrame:
         # numpy segment split per band key (the _partitioned_band_pairs
@@ -410,18 +395,8 @@ def cross_dump_neardup_census(sf_dir: str, num_perm: int = 64,
         return pd.DataFrame({"a": pd.Series(out_a, dtype="int64"),
                              "b": pd.Series(out_b, dtype="int64")})
 
-    pairs = (
-        banded.map_batches(addpart, batch_format="pandas")
-        .groupby("part")
-        .map_groups(explode, batch_format="pandas")
-        .materialize()
-    )
-    # dedup across bands — same two-path shape as _partitioned_band_pairs
-    if pairs.count() <= _DRIVER_EDGE_THRESHOLD:
-        cand = _rd.from_pandas(pairs.to_pandas().drop_duplicates(["a", "b"]))
-    else:
-        cand = partition_reduce(
-            pairs, "a", lambda g: g[["a", "b"]].drop_duplicates())
+    cand = _distinct_pairs(
+        partition_reduce(banded, "band", explode, _PAIR_PARTITIONS))
     edges = _verified_edges(sf_dir, cand, 3, threshold)
 
     def new_rows(t: pa.Table) -> pd.DataFrame:
@@ -727,8 +702,8 @@ def _partitioned_band_pairs(banded, key_col: str, max_members: int,
                             sim_col: str | None = None,
                             max_hamming: int = 0) -> rd.Dataset:
     """Candidate pairs from banded rows via hash-partitioned grouping:
-    shuffle on hash(key) % P, then one numpy segment split per partition
-    (groupby(key).map_groups paid ~1.5ms dispatch per group — mostly
+    one ``partition_reduce`` on the key, then one numpy segment split
+    per partition (groupby(key).map_groups paid ~1.5ms dispatch per group — mostly
     singleton bands, so dispatch dominated the stage).  With ``sim_col``
     set, pairs within a segment are Hamming-gated (SimHash verify).
 
@@ -737,15 +712,6 @@ def _partitioned_band_pairs(banded, key_col: str, max_members: int,
     the emitted pair set is deterministic and independent of both P and
     the cluster size.  Returns a deduplicated Dataset (a, b)."""
     import numpy as np
-
-    P = _PAIR_PARTITIONS
-
-    def addpart(df: pd.DataFrame) -> pd.DataFrame:
-        from kawa_ray.stages.distinct import route_parts
-
-        df = df.copy()
-        df["part"] = route_parts(df[key_col], P)
-        return df
 
     def explode(g: pd.DataFrame) -> pd.DataFrame:
         order = np.argsort(g[key_col].to_numpy(), kind="stable")
@@ -781,31 +747,22 @@ def _partitioned_band_pairs(banded, key_col: str, max_members: int,
         return pd.DataFrame({"a": pd.Series(out_a, dtype="int64"),
                              "b": pd.Series(out_b, dtype="int64")})
 
-    def dedup_part(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["a", "b"]].drop_duplicates()
+    return _distinct_pairs(
+        partition_reduce(banded, key_col, explode, _PAIR_PARTITIONS))
 
-    pairs = (
-        banded.map_batches(addpart, batch_format="pandas")
-        .groupby("part")
-        .map_groups(explode, batch_format="pandas")
-        .materialize()
-    )
-    # dedup across bands: same pair can surface from bands routed to
-    # different partitions.  Below the driver threshold one pandas
-    # drop_duplicates beats a whole extra shuffle (~1s fixed cost); the
-    # distributed repartition-on-a path is the scale fallback — both
-    # orders produce the identical pair set.
-    import ray.data as _rd
 
+def _distinct_pairs(pairs: rd.Dataset) -> rd.Dataset:
+    """Dedup (a, b) candidate pairs across bands: the same pair can
+    surface from bands routed to different partitions.  Below the driver
+    threshold one pandas drop_duplicates beats a whole extra shuffle
+    (~1s fixed cost); the a-partitioned distinct is the scale fallback —
+    both produce the identical pair set."""
+    pairs = pairs.materialize()
     if pairs.count() <= _DRIVER_EDGE_THRESHOLD:
-        return _rd.from_pandas(pairs.to_pandas().drop_duplicates(["a", "b"]))
-    return (
-        pairs.map_batches(
-            lambda df: df.assign(part=df["a"].to_numpy() % P), batch_format="pandas"
-        )
-        .groupby("part")
-        .map_groups(dedup_part, batch_format="pandas")
-    )
+        return rd.from_pandas(pairs.to_pandas().drop_duplicates(["a", "b"]))
+    return partition_reduce(pairs, "a",
+                            lambda g: g[["a", "b"]].drop_duplicates(),
+                            _PAIR_PARTITIONS)
 
 
 def _candidate_gram_sets(sf_dir: str, ids: set | None, n: int) -> rd.Dataset:
@@ -879,8 +836,6 @@ def _verified_edges(sf_dir: str, cand: rd.Dataset, n: int,
         # zero driver state; a dirty 100 TB corpus can't OOM the driver.
         gram_ds = _candidate_gram_sets(sf_dir, None, n)
 
-    P = _PAIR_PARTITIONS
-
     def endpoint_rows(df: pd.DataFrame) -> pd.DataFrame:
         pid = df["a"].astype("int64") * (1 << 32) + df["b"].astype("int64")
         return pd.DataFrame({
@@ -909,8 +864,7 @@ def _verified_edges(sf_dir: str, cand: rd.Dataset, n: int,
                 out_pid.append(int(pid))
                 out_gr.append(gram)
         return pd.DataFrame({"pair_id": pd.Series(out_pid, dtype="int64"),
-                             "grams": out_gr,
-                             "part": pd.Series([p % P for p in out_pid], dtype="int64")})
+                             "grams": out_gr})
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
@@ -930,17 +884,12 @@ def _verified_edges(sf_dir: str, cand: rd.Dataset, n: int,
         return pd.DataFrame({"a": pd.Series(out_a, dtype="int64"),
                              "b": pd.Series(out_b, dtype="int64")})
 
+    # attach routes on doc_id, verify on the pair_id attach emits
     ep = cand.map_batches(endpoint_rows, batch_format="pandas")
     gr = gram_ds.map_batches(gram_rows, batch_format="pandas")
-    return (
-        ep.union(gr)
-        .map_batches(lambda df: df.assign(part=df["doc_id"].to_numpy() % P),
-                     batch_format="pandas")
-        .groupby("part")
-        .map_groups(attach, batch_format="pandas")
-        .groupby("part")
-        .map_groups(verify, batch_format="pandas")
-    )
+    attached = partition_reduce(ep.union(gr), "doc_id", attach,
+                                _PAIR_PARTITIONS)
+    return partition_reduce(attached, "pair_id", verify, _PAIR_PARTITIONS)
 
 
 def _edges_census(sf_dir: str, edges: rd.Dataset) -> pd.DataFrame:
@@ -1441,8 +1390,6 @@ def doc_winnow_fingerprints(sf_dir: str, k: int = 8, w: int = 4):
     # same exchange, and the per-partition ``then`` folds both into
     # per-lang partial sums — no single-language group, no per-distinct-
     # key aggregate cost, nothing pinned
-    from kawa_ray.stages.distinct import partition_distinct
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         f = g[~g["is_doc"]]
         d = g[g["is_doc"]]
@@ -1659,8 +1606,6 @@ def _keep_best_census(sf_dir: str, edges: rd.Dataset) -> pd.DataFrame:
     partition (every member of a lbl hashes to one partition) emitting
     per-lang census partials, so the driver folds ≤ P x n_langs rows —
     never a member-space table."""
-    from kawa_ray.functions.minhash import hash64
-
     cols = ["lang", "n_members", "n_kept", "n_dropped"]
     labels = closure_labels(edges).materialize()
     if labels.count() == 0:
@@ -1701,19 +1646,9 @@ def _keep_best_census(sf_dir: str, edges: rd.Dataset) -> pd.DataFrame:
 
     # rank inside the per-lbl partition: only per-lang census
     # partials (<= P x n_langs rows) ever reach the driver
-    partials = (
-        lab_rows.union(tok_rows)
-        .map_batches(lambda df: df.assign(
-            part=[hash64(n) % P for n in df["node"]]), batch_format="pandas")
-        .groupby("part")
-        .map_groups(attach_lbl, batch_format="pandas")
-        .map_batches(lambda df: df.assign(
-            part=[hash64(x) % P for x in df["lbl"]]), batch_format="pandas")
-        .groupby("part")
-        .map_groups(lambda g: rank_census(g.drop(columns="part")),
-                    batch_format="pandas")
-        .to_pandas()
-    )
+    partials = partition_reduce(
+        partition_reduce(lab_rows.union(tok_rows), "node", attach_lbl, P),
+        "lbl", rank_census, P).to_pandas()
     census = (partials.groupby("lang")[["n_members", "n_kept", "n_dropped"]]
               .sum().reset_index())
     for c in ("n_members", "n_kept", "n_dropped"):

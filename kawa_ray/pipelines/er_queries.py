@@ -320,7 +320,7 @@ def er_mention_eval(sf_dir: str):
 
     import pandas as pd_
 
-    from kawa_ray.functions.minhash import hash64
+    from kawa_ray.stages.distinct import partition_reduce
 
     sf = sf_of_dir(sf_dir)
     pages_dir = ensure_pages(sf)
@@ -330,7 +330,6 @@ def er_mention_eval(sf_dir: str):
     # per-page lang — NOT a broadcast gold dict (round-1 VERDICT item 9):
     # exact per-doc sets even when a doc's mentions span blocks, and
     # gold-only docs (zero predictions) still contribute their fn.
-    P = 64
 
     def pred_rows(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -373,15 +372,10 @@ def er_mention_eval(sf_dir: str):
         return pd_.DataFrame(out)
 
     agg = (
-        res["mentions"]
-        .map_batches(pred_rows, batch_format="pyarrow")
-        .union(gold_ds, lang_ds)
-        .map_batches(
-            lambda df: df.assign(part=[hash64(u) % P for u in df["url"]]),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(compare, batch_format="pandas")
+        partition_reduce(
+            res["mentions"].map_batches(pred_rows, batch_format="pyarrow")
+            .union(gold_ds, lang_ds),
+            "url", compare, 64)
         .groupby("lang")
         .aggregate(Sum("tp", alias_name="tp"), Sum("fp", alias_name="fp"),
                    Sum("fn", alias_name="fn"))

@@ -43,7 +43,7 @@ import pandas as pd
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-from kawa_ray.functions.minhash import hash64
+from kawa_ray.stages.distinct import partition_reduce
 
 # fixed EM spec (part of the operator contract; mirrored by the SQL)
 _LAMBDA0 = 0.1
@@ -153,14 +153,11 @@ def fs_match_weights(sf_dir: str) -> pd.DataFrame:
         columns=["c_custkey", "c_name", "c_nationkey", "c_acctbal", "c_mktsegment"],
     )
     feats = ds.map_batches(_features, batch_format="pandas")
-    # hash-partition whole blocks (all rows of a blk share a part) so the
-    # per-partition merge sees complete blocks; 16 parts is plenty for 25
-    # nation keys and the shape is key-count- not corpus-scaled
-    feats = feats.map_batches(
-        lambda df: df.assign(part=[hash64(str(b)) % 16 for b in df["blk"]]),
-        batch_format="pandas",
-    )
-    parts = feats.groupby("part").map_groups(_pattern_counts, batch_format="pandas")
+    # hash-partition whole blocks (all rows of a blk share a partition)
+    # so the per-partition merge sees complete blocks; 16 partitions is
+    # plenty for 25 nation keys and the shape is key-count- not
+    # corpus-scaled
+    parts = partition_reduce(feats, "blk", _pattern_counts, 16)
     pat = (
         parts.groupby(["g_seg", "g_bal", "g_suf"])
         .aggregate(Sum("n", alias_name="n_pairs"))

@@ -187,27 +187,17 @@ def candidate_pairs(nodes: rd.Dataset, cfg: LinkageConfig,
                                   partitions=partitions).take_all()
     }
 
-    from kawa_ray.stages.distinct import route_parts
-
-    def salt(batch: pd.DataFrame, _p=partitions) -> pd.DataFrame:
-        out = salt_block_keys(batch, hot, cfg.n_salts)
-        out["part"] = route_parts(out["block_key"], _p)
-        return out
-
-    keyed = keyed.map_batches(salt, batch_format="pandas")
-    pairs = keyed.groupby("part").map_groups(
-        lambda g: explode_partition(g, cfg.max_pairs_per_block), batch_format="pandas"
-    )
+    pairs = partition_reduce(
+        keyed.map_batches(lambda b: salt_block_keys(b, hot, cfg.n_salts),
+                          batch_format="pandas"),
+        "block_key",
+        lambda g: explode_partition(g, cfg.max_pairs_per_block), partitions)
 
     # exact pair dedup: hash-partition on canonical pair key, keep first
-    def pair_parts(df: pd.DataFrame, _p=partitions) -> pd.DataFrame:
-        pk = df["a"] + "\x00" + df["b"]
-        return df.assign(pair_key=pk, part=route_parts(pk, _p))
-
-    pairs = pairs.map_batches(pair_parts, batch_format="pandas")
-    pairs = pairs.groupby("part").map_groups(
-        lambda g: g.drop_duplicates("pair_key"), batch_format="pandas"
-    )
+    pairs = partition_reduce(
+        pairs.map_batches(lambda df: df.assign(pair_key=df["a"] + "\x00" + df["b"]),
+                          batch_format="pandas"),
+        "pair_key", lambda g: g.drop_duplicates("pair_key"), partitions)
     return pairs.select_columns(["a", "b", "block_key"])
 
 

@@ -173,6 +173,8 @@ def pack_sequences_plan(sf_dir: str, seq_len: int = 512, range_size: int = 4096,
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from kawa_ray.stages.distinct import partition_reduce
+
     ds = _read_docs(sf_dir, ["doc_id", "text", "lang"])
 
     def doc_rows(t: pa.Table) -> pa.Table:
@@ -228,17 +230,8 @@ def pack_sequences_plan(sf_dir: str, seq_len: int = 512, range_size: int = 4096,
         return pd.concat(out, ignore_index=True).groupby(
             "lang", as_index=False).sum()
 
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = df["rng"].to_numpy(np.int64) & (partitions - 1)
-        return df
-
     acc2: dict[str, list[int]] = {}
-    folded = (
-        rows.map_batches(bucket, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    folded = partition_reduce(rows, "rng", per_partition, partitions)
     for b in folded.iter_batches(batch_format="pandas"):
         for lang, nd, nt, ns in zip(b["lang"], b["n_docs"],
                                     b["n_tokens"], b["n_straddling"]):

@@ -788,6 +788,7 @@ def paragraph_neardup_census(sf_dir: str, num_perm: int = _PN_PERM,
     from kawa_ray.functions.minhash import md5_low64_per_doc, word_ngrams
     from kawa_ray.pipelines.docs import _WS, _partitioned_band_pairs
     from kawa_ray.stages.distinct import partition_reduce
+    from kawa_ray.stages.spill import pinned_or_spilled
 
     paras = _para_frames(sf_dir)
 
@@ -823,135 +824,120 @@ def paragraph_neardup_census(sf_dir: str, num_perm: int = _PN_PERM,
     # linkage mention-stream convention — pin in the object store at
     # fixture scale, stream from per-partition /tmp parquet beyond it)
     n_pages = int(_read(sf_dir, ["url"]).count())
-    spill = None
-    if n_pages <= _PN_SPILL_PAGES:
-        grams = grams.materialize()
-    else:
-        import tempfile
+    with pinned_or_spilled(grams, n_pages > _PN_SPILL_PAGES,
+                           "para-grams-") as grams:
+        n_paragraphs = int(grams.count())
 
-        spill = tempfile.mkdtemp(prefix="para-grams-",
-                                 dir=tempfile.gettempdir())
-        grams.write_parquet(spill)
-        grams = rd.read_parquet(spill)
-    n_paragraphs = int(grams.count())
-
-    def sig_rows(df: pd.DataFrame) -> pd.DataFrame:
-        # batch-vectorised banding FROM the pinned gram bytes (no
-        # second tokenize+md5 pass): signatures via minimum.reduceat
-        # over paragraph boundaries, band keys as a vectorised uint64
-        # polynomial mix of each band's signature rows (equality
-        # structure == the oracle's (band, value-tuple) key, same
-        # 2^-64 collision class as the blake2b band digests the
-        # doc-level family uses) — the per-paragraph Python
-        # minhash_signature loop was 3.4x the whole census's budget
-        uh_list = [np.frombuffer(x, dtype=np.uint64) for x in df["h"]]
-        n = len(uh_list)
-        if n == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "band": pd.Series([], dtype="int64")})
-        sizes = np.fromiter((u.size for u in uh_list), dtype=np.int64,
-                            count=n)
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        hm = np.concatenate(uh_list) % np.uint64(_MERSENNE)
-        V = (pa_[:, None] * hm[None, :] + pb_[:, None]) % np.uint64(_MERSENNE)
-        sig = np.minimum.reduceat(V, starts, axis=1)  # (num_perm, n)
-        keys = np.empty((bands, n), dtype=np.uint64)
-        for bi in range(bands):
-            h = np.full(n, bi, dtype=np.uint64)
-            for r in range(rows_per_band):
-                h = h * _MIX + sig[bi * rows_per_band + r]
-            keys[bi] = h
-        pid_arr = df["doc_id"].to_numpy("int64")
-        return pd.DataFrame({
-            "doc_id": np.repeat(pid_arr, bands),
-            "band": keys.T.reshape(-1).view(np.int64)})
-
-    # _partitioned_band_pairs already dedups across bands
-    cand = _partitioned_band_pairs(
-        grams.map_batches(sig_rows, batch_format="pandas"),
-        "band", max_members=max_members).materialize()
-    n_candidates = int(cand.count())
-
-    n_neardup = 0
-    if n_candidates:
-        def pair_rows(df: pd.DataFrame) -> pd.DataFrame:
+        def sig_rows(df: pd.DataFrame) -> pd.DataFrame:
+            # batch-vectorised banding FROM the pinned gram bytes (no
+            # second tokenize+md5 pass): signatures via minimum.reduceat
+            # over paragraph boundaries, band keys as a vectorised uint64
+            # polynomial mix of each band's signature rows (equality
+            # structure == the oracle's (band, value-tuple) key, same
+            # 2^-64 collision class as the blake2b band digests the
+            # doc-level family uses) — the per-paragraph Python
+            # minhash_signature loop was 3.4x the whole census's budget
+            uh_list = [np.frombuffer(x, dtype=np.uint64) for x in df["h"]]
+            n = len(uh_list)
+            if n == 0:
+                return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
+                                     "band": pd.Series([], dtype="int64")})
+            sizes = np.fromiter((u.size for u in uh_list), dtype=np.int64,
+                                count=n)
+            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            hm = np.concatenate(uh_list) % np.uint64(_MERSENNE)
+            V = (pa_[:, None] * hm[None, :] + pb_[:, None]) % np.uint64(_MERSENNE)
+            sig = np.minimum.reduceat(V, starts, axis=1)  # (num_perm, n)
+            keys = np.empty((bands, n), dtype=np.uint64)
+            for bi in range(bands):
+                h = np.full(n, bi, dtype=np.uint64)
+                for r in range(rows_per_band):
+                    h = h * _MIX + sig[bi * rows_per_band + r]
+                keys[bi] = h
+            pid_arr = df["doc_id"].to_numpy("int64")
             return pd.DataFrame({
-                "doc_id": df["a"].to_numpy("int64"),
-                "b": df["b"].to_numpy("int64"),
-                "h": pd.Series([None] * len(df), dtype="object")})
+                "doc_id": np.repeat(pid_arr, bands),
+                "band": keys.T.reshape(-1).view(np.int64)})
 
-        def g_mark(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                "doc_id": df["doc_id"].to_numpy("int64"),
-                "b": np.full(len(df), 0, dtype="int64"),
-                "h": df["h"].to_numpy(dtype=object)})
+        # _partitioned_band_pairs already dedups across bands
+        cand = _partitioned_band_pairs(
+            grams.map_batches(sig_rows, batch_format="pandas"),
+            "band", max_members=max_members).materialize()
+        n_candidates = int(cand.count())
 
-        def attach_a(g: pd.DataFrame) -> pd.DataFrame:
-            labs = g.loc[g["h"].notna(), ["doc_id", "h"]]
-            ee = g.loc[g["h"].isna(), ["doc_id", "b"]]
-            m = ee.merge(labs, on="doc_id", how="inner")
-            return pd.DataFrame({"doc_id": m["b"].to_numpy("int64"),
-                                 "ha": m["h"].to_numpy(dtype=object)})
+        n_neardup = 0
+        if n_candidates:
+            def pair_rows(df: pd.DataFrame) -> pd.DataFrame:
+                return pd.DataFrame({
+                    "doc_id": df["a"].to_numpy("int64"),
+                    "b": df["b"].to_numpy("int64"),
+                    "h": pd.Series([None] * len(df), dtype="object")})
 
-        half = partition_reduce(
-            cand.map_batches(pair_rows, batch_format="pandas")
-            .union(grams.map_batches(g_mark, batch_format="pandas")),
-            "doc_id", attach_a)
+            def g_mark(df: pd.DataFrame) -> pd.DataFrame:
+                return pd.DataFrame({
+                    "doc_id": df["doc_id"].to_numpy("int64"),
+                    "b": np.full(len(df), 0, dtype="int64"),
+                    "h": df["h"].to_numpy(dtype=object)})
 
-        def half_rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                "doc_id": df["doc_id"].to_numpy("int64"),
-                "ha": df["ha"].to_numpy(dtype=object),
-                "h": pd.Series([None] * len(df), dtype="object")})
+            def attach_a(g: pd.DataFrame) -> pd.DataFrame:
+                labs = g.loc[g["h"].notna(), ["doc_id", "h"]]
+                ee = g.loc[g["h"].isna(), ["doc_id", "b"]]
+                m = ee.merge(labs, on="doc_id", how="inner")
+                return pd.DataFrame({"doc_id": m["b"].to_numpy("int64"),
+                                     "ha": m["h"].to_numpy(dtype=object)})
 
-        def g_mark2(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                "doc_id": df["doc_id"].to_numpy("int64"),
-                "ha": pd.Series([None] * len(df), dtype="object"),
-                "h": df["h"].to_numpy(dtype=object)})
+            half = partition_reduce(
+                cand.map_batches(pair_rows, batch_format="pandas")
+                .union(grams.map_batches(g_mark, batch_format="pandas")),
+                "doc_id", attach_a)
 
-        def verify(g: pd.DataFrame) -> pd.DataFrame:
-            labs = g.loc[g["h"].notna(), ["doc_id", "h"]]
-            ee = g.loc[g["ha"].notna(), ["doc_id", "ha"]]
-            m = ee.merge(labs, on="doc_id", how="inner")
-            if m.empty:
-                return pd.DataFrame({"n": pd.Series([0], dtype="int64")})
-            # vectorised intersection: both arrays are internally
-            # unique, so |A ∩ B| = adjacent duplicates after a
-            # (pair, value) lexsort of the concatenated streams
-            ha_list = [np.frombuffer(x, dtype=np.uint64) for x in m["ha"]]
-            hb_list = [np.frombuffer(x, dtype=np.uint64) for x in m["h"]]
-            na = np.fromiter((x.size for x in ha_list), dtype=np.int64,
-                             count=len(ha_list))
-            nb = np.fromiter((x.size for x in hb_list), dtype=np.int64,
-                             count=len(hb_list))
-            pid = np.repeat(np.concatenate([np.arange(len(ha_list)),
-                                            np.arange(len(hb_list))]),
-                            np.concatenate([na, nb]))
-            val = np.concatenate(ha_list + hb_list)
-            order = np.lexsort((val, pid))
-            pv, vv = pid[order], val[order]
-            dup = np.concatenate(
-                ([False], (pv[1:] == pv[:-1]) & (vv[1:] == vv[:-1])))
-            inter = np.bincount(pv[dup], minlength=len(ha_list)) \
-                .astype(np.int64)
-            ok = inter * _PN_T_DEN >= (na + nb - inter) * _PN_T_NUM
-            return pd.DataFrame({"n": pd.Series([int(ok.sum())],
-                                                dtype="int64")})
+            def half_rows(df: pd.DataFrame) -> pd.DataFrame:
+                return pd.DataFrame({
+                    "doc_id": df["doc_id"].to_numpy("int64"),
+                    "ha": df["ha"].to_numpy(dtype=object),
+                    "h": pd.Series([None] * len(df), dtype="object")})
 
-        for b in partition_reduce(
-                half.map_batches(half_rows, batch_format="pandas")
-                .union(grams.map_batches(g_mark2, batch_format="pandas")),
-                "doc_id", verify).iter_batches(batch_format="pandas"):
-            n_neardup += int(b["n"].sum())
+            def g_mark2(df: pd.DataFrame) -> pd.DataFrame:
+                return pd.DataFrame({
+                    "doc_id": df["doc_id"].to_numpy("int64"),
+                    "ha": pd.Series([None] * len(df), dtype="object"),
+                    "h": df["h"].to_numpy(dtype=object)})
 
-    if spill is not None:
-        # every consumer has drained by here (the folds above are
-        # eager); drop the spilled gram stream instead of leaking
-        # multi-GB parquet to /tmp per run
-        import shutil
+            def verify(g: pd.DataFrame) -> pd.DataFrame:
+                labs = g.loc[g["h"].notna(), ["doc_id", "h"]]
+                ee = g.loc[g["ha"].notna(), ["doc_id", "ha"]]
+                m = ee.merge(labs, on="doc_id", how="inner")
+                if m.empty:
+                    return pd.DataFrame({"n": pd.Series([0], dtype="int64")})
+                # vectorised intersection: both arrays are internally
+                # unique, so |A ∩ B| = adjacent duplicates after a
+                # (pair, value) lexsort of the concatenated streams
+                ha_list = [np.frombuffer(x, dtype=np.uint64) for x in m["ha"]]
+                hb_list = [np.frombuffer(x, dtype=np.uint64) for x in m["h"]]
+                na = np.fromiter((x.size for x in ha_list), dtype=np.int64,
+                                 count=len(ha_list))
+                nb = np.fromiter((x.size for x in hb_list), dtype=np.int64,
+                                 count=len(hb_list))
+                pid = np.repeat(np.concatenate([np.arange(len(ha_list)),
+                                                np.arange(len(hb_list))]),
+                                np.concatenate([na, nb]))
+                val = np.concatenate(ha_list + hb_list)
+                order = np.lexsort((val, pid))
+                pv, vv = pid[order], val[order]
+                dup = np.concatenate(
+                    ([False], (pv[1:] == pv[:-1]) & (vv[1:] == vv[:-1])))
+                inter = np.bincount(pv[dup], minlength=len(ha_list)) \
+                    .astype(np.int64)
+                ok = inter * _PN_T_DEN >= (na + nb - inter) * _PN_T_NUM
+                return pd.DataFrame({"n": pd.Series([int(ok.sum())],
+                                                    dtype="int64")})
 
-        shutil.rmtree(spill, ignore_errors=True)
+            for b in partition_reduce(
+                    half.map_batches(half_rows, batch_format="pandas")
+                    .union(grams.map_batches(g_mark2, batch_format="pandas")),
+                    "doc_id", verify).iter_batches(batch_format="pandas"):
+                n_neardup += int(b["n"].sum())
+
     return pd.DataFrame({
         "n_paragraphs": pd.Series([n_paragraphs], dtype="int64"),
         "n_candidates": pd.Series([n_candidates], dtype="int64"),

@@ -23,6 +23,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from kawa_ray.stages.distinct import partition_distinct, partition_reduce
+
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> rd.Dataset:
     return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
@@ -102,7 +104,6 @@ def q3_top_orders(sf_dir: str, partitions: int = 64, k: int = 10):
             "key": key,
             "rev": pa.nulls(n, pa.float64()),
             "is_order": pa.array(np.ones(n, dtype="int8")),
-            "part": pc.cast(pc.bit_wise_and(key, P - 1), pa.int64()),
         })
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
@@ -116,7 +117,6 @@ def q3_top_orders(sf_dir: str, partitions: int = 64, k: int = 10):
             "key": pa.array(key),
             "rev": pa.array(g["rev"], pa.float64()),
             "is_order": pa.array(np.zeros(len(g), dtype="int8")),
-            "part": pa.array(key & (P - 1)),
         })
 
     def semi_join_topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -133,13 +133,10 @@ def q3_top_orders(sf_dir: str, partitions: int = 64, k: int = 10):
             ["revenue", "l_orderkey"], ascending=[False, True]
         ).head(k)
 
-    parts = (
+    parts = partition_reduce(
         orders.map_batches(order_rows, batch_format="pyarrow")
-        .union(li.map_batches(li_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(semi_join_topk, batch_format="pandas")
-        .to_pandas()
-    )
+        .union(li.map_batches(li_rows, batch_format="pyarrow")),
+        "key", semi_join_topk, P).to_pandas()
     out = parts.sort_values(["revenue", "l_orderkey"], ascending=[False, True]).head(k)
     return out.reset_index(drop=True)
 
@@ -261,8 +258,6 @@ def distinct_suppliers_per_flag(sf_dir: str):
 
     # suppkey is data-cardinality: the shared partitioned distinct with
     # the per-flag partial count fused into the same shuffle
-    from kawa_ray.stages.distinct import partition_distinct
-
     out = (
         partition_distinct(
             ds.map_batches(pairs, batch_format="pyarrow"),
@@ -334,8 +329,6 @@ def top_users_by_value(sf_dir: str):
     # user_id is data-cardinality: hash-partitioned sums (the
     # stages/distinct.py rule), per-partition top-10 (each user is whole
     # in one partition, so the global top-10 survives), tiny driver merge
-    from kawa_ray.stages.distinct import partition_reduce
-
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
     def part_top(g: pd.DataFrame) -> pd.DataFrame:
@@ -360,8 +353,6 @@ FROM events GROUP BY user_id ORDER BY total DESC, user_id LIMIT 10
 def events_dedup_first(sf_dir: str):
     """Exact dedup keep-first: hash-partition groupby + head(1)
     (SURVEY.md §2.6 'exact dedup = hash-partition + per-group first')."""
-    from kawa_ray.stages.distinct import partition_reduce
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     # partition on user_id (co-locates every (user, type) group); the
@@ -394,8 +385,6 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30):
     (no window op in the reference, composed here as
     groupby(user).map_groups over time-sorted rows; the oracle uses SQL
     LAG/SUM windows)."""
-    from kawa_ray.stages.distinct import partition_reduce
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def sessions_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -696,8 +685,6 @@ def top_events_per_user(sf_dir: str, k: int = 3):
         g["rank"] = g.groupby("user_id", sort=False).cumcount() + 1
         return g[["user_id", "rank", "event_id", "value"]]
 
-    from kawa_ray.stages.distinct import partition_reduce
-
     out = partition_reduce(
         ds.map_batches(partial, batch_format="pyarrow"),
         "user_id", final_part,
@@ -786,7 +773,6 @@ def purchase_asof_click(sf_dir: str, partitions: int = 64):
                 (df["event_type"] == "purchase").astype("int8")
             ),
             "value": pa.array(df["value"], pa.float64()),
-            "part": pa.array(df["user_id"].astype("int64") % P),
         })
 
     def asof(g: pd.DataFrame) -> pd.DataFrame:
@@ -808,12 +794,8 @@ def purchase_asof_click(sf_dir: str, partitions: int = 64):
             )
         return pd.DataFrame(out)
 
-    out = (
-        ds.map_batches(rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(asof, batch_format="pandas")
-        .to_pandas()
-    )
+    out = partition_reduce(ds.map_batches(rows, batch_format="pyarrow"),
+                           "user_id", asof, P).to_pandas()
     out = out[out["n_purchases"] > 0]
     out["click_value_sum"] = out["click_value_sum"].round(2)
     return out.sort_values("user_id").reset_index(drop=True)
@@ -953,7 +935,6 @@ def customers_without_big_orders(sf_dir: str, price: float = 300000.0,
             "seg": t.column("c_mktsegment"),
             "bal": pc.cast(t.column("c_acctbal"), pa.float64()),
             "is_cust": pa.array(np.ones(t.num_rows, dtype="int8")),
-            "part": pc.cast(pc.bit_wise_and(key, P - 1), pa.int64()),
         })
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -967,7 +948,6 @@ def customers_without_big_orders(sf_dir: str, price: float = 300000.0,
             "seg": pa.nulls(n, pa.string()),
             "bal": pa.nulls(n, pa.float64()),
             "is_cust": pa.array(np.zeros(n, dtype="int8")),
-            "part": pc.cast(pc.bit_wise_and(key, P - 1), pa.int64()),
         })
 
     def anti(g: pd.DataFrame) -> pd.DataFrame:
@@ -983,10 +963,10 @@ def customers_without_big_orders(sf_dir: str, price: float = 300000.0,
         return out.rename(columns={"seg": "c_mktsegment"})
 
     out = (
-        cust.map_batches(cust_rows, batch_format="pyarrow")
-        .union(orders.map_batches(order_rows, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(anti, batch_format="pandas")
+        partition_reduce(
+            cust.map_batches(cust_rows, batch_format="pyarrow")
+            .union(orders.map_batches(order_rows, batch_format="pyarrow")),
+            "key", anti, P)
         .groupby("c_mktsegment")
         .aggregate(Sum("n_customers", alias_name="n_customers"),
                    Sum("acctbal", alias_name="acctbal"))
@@ -1071,8 +1051,6 @@ def events_pivot(sf_dir: str):
         g.columns = ["user_id"] + [f"n_{t}" for t in _EVENT_TYPES]
         return g
 
-    from kawa_ray.stages.distinct import partition_reduce
-
     cols = [f"n_{t}" for t in _EVENT_TYPES]
     out = partition_reduce(
         ds.map_batches(partial, batch_format="pandas"),
@@ -1152,12 +1130,6 @@ def events_rolling_max(sf_dir: str, window: int = 3):
     import numpy as np
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
-    P = 64
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy(np.int64)) & (P - 1)
-        return df
 
     def rolling(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -1193,12 +1165,7 @@ def events_rolling_max(sf_dir: str, window: int = 3):
         return pd.DataFrame({"user_id": pd.Series(u[starts], dtype="int64"),
                              "max_rolling_mean": best})
 
-    out = (
-        ds.map_batches(part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(rolling, batch_format="pandas")
-        .to_pandas()
-    )
+    out = partition_reduce(ds, "user_id", rolling, 64).to_pandas()
     out["user_id"] = out["user_id"].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -1237,8 +1204,6 @@ def events_asof_join(sf_dir: str, buckets: int = 8):
     (/root/reference/ontology/ontology_builder.py semi-join family);
     scale note: only (user_id, ts, event_id, event_type) cross the
     exchange — value/props are pruned at the read."""
-    from kawa_ray.stages.distinct import partition_reduce
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     _SENT = np.iinfo(np.int64).min
 

@@ -38,6 +38,7 @@ from ray.data.aggregate import Count, Sum
 
 from kawa_ray.functions.minhash import md5_low64
 from kawa_ray.pipelines.docs import _PAIR_PARTITIONS, _WS, _read_docs
+from kawa_ray.stages.distinct import partition_reduce
 
 K_TOKENS = 8   # tokens per gram
 W_WINDOW = 4   # winnow window (grams); detects runs >= K_TOKENS + W_WINDOW - 1
@@ -142,13 +143,8 @@ def doc_substring_dup_census(sf_dir: str, k: int = K_TOKENS, w: int = W_WINDOW):
         kept = g.loc[sizes >= 2, ["doc_id", "lang", "start"]]
         return kept.reset_index(drop=True)
 
-    flagged = (
-        ds.map_batches(emit_occ, batch_format="pyarrow")
-        .map_batches(lambda df: df.assign(part=df["fp"].to_numpy() % P),
-                     batch_format="pandas")
-        .groupby("part")
-        .map_groups(flag_part, batch_format="pandas")
-    )
+    flagged = partition_reduce(ds.map_batches(emit_occ, batch_format="pyarrow"),
+                               "fp", flag_part, P)
 
     # stage 3: doc-partitioned merged-interval lengths
     def spans_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -175,12 +171,7 @@ def doc_substring_dup_census(sf_dir: str, k: int = K_TOKENS, w: int = W_WINDOW):
                              "lang": out_lang,
                              "dup_tokens": pd.Series(out_dup, dtype="int64")})
 
-    per_doc = (
-        flagged.map_batches(lambda df: df.assign(part=df["doc_id"].to_numpy() % P),
-                            batch_format="pandas")
-        .groupby("part")
-        .map_groups(spans_part, batch_format="pandas")
-    )
+    per_doc = partition_reduce(flagged, "doc_id", spans_part, P)
     dup_by_lang = (
         per_doc.groupby("lang")
         .aggregate(Count(alias_name="docs_with_dups"),

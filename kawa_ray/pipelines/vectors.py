@@ -20,6 +20,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from kawa_ray.stages.distinct import partition_reduce
+
 N_QUERIES = 3
 TOP_K = 10
 
@@ -209,22 +211,15 @@ def _emb_planes(dim: int) -> np.ndarray:
     return C
 
 
-def _triple_parts(label: np.ndarray, band: np.ndarray, key: np.ndarray,
-                  P: int) -> np.ndarray:
-    """md5 part per DISTINCT (label, band, key) triple, fanned back to
-    rows (round-3 VERDICT item 5's one-hash-per-distinct-triple rule)."""
-    from kawa_ray.functions.minhash import hash64
-
-    trip = label * (_EMB_BANDS * 8) + band * 8 + key
-    uniq, inv = np.unique(trip, return_inverse=True)
-    u_lbl = uniq // (_EMB_BANDS * 8)
-    u_band = (uniq % (_EMB_BANDS * 8)) // 8
-    u_key = uniq % 8
-    u_part = np.fromiter(
-        (hash64(f"{l}:{b}:{k}") % P
-         for l, b, k in zip(u_lbl.tolist(), u_band.tolist(), u_key.tolist())),
-        dtype=np.int64, count=len(uniq))
-    return u_part[inv]
+def _segment(label: np.ndarray, band: np.ndarray,
+             key: np.ndarray) -> np.ndarray:
+    """One int per (label, band, key) band segment — the exchange key
+    that co-locates a segment's rows (``key`` < 2**_EMB_PLANES_PER_BAND).
+    The label's radix is one more than the number of (band, key) codes,
+    so ``route_parts``' value routing mixes label and code: neither a
+    hot label nor a hot (band, key) code funnels into one partition."""
+    codes = _EMB_BANDS << _EMB_PLANES_PER_BAND
+    return label * (codes + 1) + (band << _EMB_PLANES_PER_BAND) + key
 
 
 def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
@@ -280,7 +275,7 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
         label_out = np.tile(labels, _EMB_BANDS)
         key_out = keys_nb.T.reshape(-1)  # band-major, aligned with tiles
         return pa.table({
-            "part": pa.array(_triple_parts(label_out, band_out, key_out, P)),
+            "seg": pa.array(_segment(label_out, band_out, key_out)),
             "label": pa.array(label_out),
             "band": pa.array(band_out),
             "key": pa.array(key_out),
@@ -293,7 +288,7 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
         sz = g.groupby(["label", "band", "key"])["vec_id"].transform("size")
         g = g[(sz >= 2) & (sz <= _EMB_MAX_MEMBERS)]
         return pd.DataFrame({
-            "part": g["vec_id"].to_numpy("int64") % P,
+            "seg": g["seg"].to_numpy("int64"),
             "label": g["label"].to_numpy("int64"),
             "band": g["band"].to_numpy("int64"),
             "key": g["key"].to_numpy("int64"),
@@ -306,7 +301,7 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
         M = np.stack([np.asarray(v, dtype=np.float64)
                       for v in t.column("embedding").to_pylist()])
         return pd.DataFrame({
-            "part": ids % P,
+            "seg": np.full(len(ids), -1, dtype=np.int64),
             "label": np.full(len(ids), -1, dtype=np.int64),
             "band": np.full(len(ids), -1, dtype=np.int64),
             "key": np.full(len(ids), -1, dtype=np.int64),
@@ -321,15 +316,7 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
         vec = m["vec_id"].map(vmap)
         if vec.isna().any():
             raise RuntimeError("surviving member without a co-located vector")
-        lbl = m["label"].to_numpy("int64")
-        band = m["band"].to_numpy("int64")
-        key = m["key"].to_numpy("int64")
-        return pd.DataFrame({
-            "part": _triple_parts(lbl, band, key, P),
-            "label": lbl, "band": band, "key": key,
-            "vec_id": m["vec_id"].to_numpy("int64"),
-            "vec": vec.to_numpy(),
-        })
+        return m.assign(vec=vec.to_numpy())
 
     def band_rows_vec(t: pa.Table) -> pa.Table:
         # SMALL tier: one exchange, vec bytes tiled onto the band rows
@@ -340,7 +327,7 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
         key_out = keys_nb.T.reshape(-1)
         vb = np.array([m.tobytes() for m in M], dtype=object)
         return pa.table({
-            "part": pa.array(_triple_parts(label_out, band_out, key_out, P)),
+            "seg": pa.array(_segment(label_out, band_out, key_out)),
             "label": pa.array(label_out),
             "band": pa.array(band_out),
             "key": pa.array(key_out),
@@ -373,26 +360,15 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
                              "cosine": pd.Series(out_c, dtype="float64")})
 
     if id_only:
-        members = (
-            ds.map_batches(band_rows, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(lambda g: survivors(g.drop(columns="part")),
-                        batch_format="pandas")
-        )
-        seg_rows = (
-            members.union(ds.map_batches(vec_rows, batch_format="pyarrow"))
-            .groupby("part")
-            .map_groups(lambda g: attach(g.drop(columns="part")),
-                        batch_format="pandas")
-        )
+        members = partition_reduce(
+            ds.map_batches(band_rows, batch_format="pyarrow"), "seg",
+            survivors, P)
+        seg_rows = partition_reduce(
+            members.union(ds.map_batches(vec_rows, batch_format="pyarrow")),
+            "vec_id", attach, P)
     else:
         seg_rows = ds.map_batches(band_rows_vec, batch_format="pyarrow")
-    out = (
-        seg_rows
-        .groupby("part")
-        .map_groups(explode, batch_format="pandas")
-        .to_pandas()
-    )
+    out = partition_reduce(seg_rows, "seg", explode, P).to_pandas()
     if out.empty:
         return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
                              "label": pd.Series(dtype="int32"),
@@ -839,8 +815,6 @@ def semdedup_census(sf_dir: str, k: int = _SEM_K, iters: int = _SEM_ITERS,
     dedup pass shuffles (vec_id, label, cluster, packed q) once on the
     cluster id and runs the per-cluster block pairwise check in-batch
     — no corpus-sized driver state, no all-pairs outside a cluster."""
-    from kawa_ray.stages.distinct import partition_reduce
-
     ds = _read_emb(sf_dir)
 
     # seeds: the k smallest vec_ids (per-batch min-k partials)

@@ -144,7 +144,7 @@ def label_propagation_components(edges_ds, max_rounds: int = 20):
     import pyarrow as pa
     import ray
 
-    from kawa_ray.stages.distinct import partition_distinct, route_parts
+    from kawa_ray.stages.distinct import partition_distinct, partition_reduce
 
     P = 64
     edges = edges_ds.select_columns(["a", "b"]).materialize()
@@ -199,23 +199,16 @@ def label_propagation_components(edges_ds, max_rounds: int = 20):
 
             cand = np.minimum(df["node"].map(l).to_numpy(dtype=object),
                               df["nbr"].map(l).to_numpy(dtype=object))
-            return pd.DataFrame({
-                "node": df["node"],
-                "cand": cand,
-                "part": route_parts(df["node"], P),
-            })
+            return pd.DataFrame({"node": df["node"], "cand": cand})
 
-        new_labels = (
+        new_labels = partition_reduce(
             edges.map_batches(explode, batch_format="pyarrow")
-            .map_batches(relabel, batch_format="pandas")
-            .groupby("part")
-            .map_groups(
-                lambda g: (g.groupby("node", sort=False)["cand"].min()
-                           .rename("lbl").reset_index()),
-                batch_format="pandas",
-            )
-            .materialize()
-        )
+            .map_batches(relabel, batch_format="pandas"),
+            "node",
+            lambda g: (g.groupby("node", sort=False)["cand"].min()
+                       .rename("lbl").reset_index()),
+            P,
+        ).materialize()
         _ndf = new_labels.to_pandas()
         new_lab = _compress(dict(zip(_ndf["node"], _ndf["lbl"])))
         if new_lab == lab:
@@ -248,11 +241,13 @@ def _pointer_jump(labels, P: int, S: int):
          Emits only REAL shortcuts (jlbl != lbl), so converged components
          contribute zero jmap rows.
       2. rewrite: label rows co-locate with their shortcut via a SALTED
-         label hash — part = hash(lbl) % (P/S) * S + hash(node) % S —
-         and jmap rows replicate xS.  The salt bounds the hot-label
-         funnel (a converged giant component's label rows) to 1/S of the
-         component per partition at the price of S small (lbl, jlbl)
-         rows per shortcut; partitioning assumption: a component's label
+         label route — route = route_parts(lbl, P/S) * S +
+         route_parts(node, S), an int below P, so each partition holds
+         one route value — and jmap rows replicate xS, one per salt.
+         The salt bounds the hot-label funnel (a converged giant
+         component's label rows) to 1/S of the component per partition
+         at the price of S small (lbl, jlbl) rows per shortcut;
+         partitioning assumption: a component's label
          rows / S must fit a worker's batch, which callers size via
          ``partitions``/``jump_salt`` (the documented trade — no exact
          distributed closure avoids co-locating a component's rows
@@ -260,7 +255,7 @@ def _pointer_jump(labels, P: int, S: int):
     """
     import numpy as np
 
-    from kawa_ray.stages.distinct import route_parts
+    from kawa_ray.stages.distinct import partition_reduce, route_parts
 
     B = P // S
 
@@ -272,7 +267,6 @@ def _pointer_jump(labels, P: int, S: int):
             "val": pd.concat([df["lbl"],
                               pd.Series([None] * len(q), dtype=object)],
                              ignore_index=True),
-            "part": route_parts(keys, P),
         })
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
@@ -286,18 +280,14 @@ def _pointer_jump(labels, P: int, S: int):
         out = pd.DataFrame({"lbl": qk.to_numpy(), "jlbl": j.to_numpy()})
         return out[out["lbl"] != out["jlbl"]]
 
-    jmap = (
-        labels.map_batches(qa_rows, batch_format="pandas")
-        .groupby("part")
-        .map_groups(lambda g: resolve(g.drop(columns="part")),
-                    batch_format="pandas")
-    )
+    jmap = partition_reduce(labels.map_batches(qa_rows, batch_format="pandas"),
+                            "key", resolve, P)
 
     def lab_route(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "node": df["node"], "lbl": df["lbl"],
             "jlbl": [None] * len(df),
-            "part": route_parts(df["lbl"], B) * S + route_parts(df["node"], S),
+            "route": route_parts(df["lbl"], B) * S + route_parts(df["node"], S),
         })
 
     def jmap_route(df: pd.DataFrame) -> pd.DataFrame:
@@ -307,7 +297,7 @@ def _pointer_jump(labels, P: int, S: int):
             "node": pd.Series([None] * (n * S), dtype=object),
             "lbl": np.repeat(df["lbl"].to_numpy(dtype=object), S),
             "jlbl": np.repeat(df["jlbl"].to_numpy(dtype=object), S),
-            "part": np.repeat(base * S, S) + np.tile(np.arange(S), n),
+            "route": np.repeat(base * S, S) + np.tile(np.arange(S), n),
         })
 
     def rewrite(g: pd.DataFrame) -> pd.DataFrame:
@@ -318,13 +308,10 @@ def _pointer_jump(labels, P: int, S: int):
         return pd.DataFrame({"node": lab["node"],
                              "lbl": new.fillna(lab["lbl"])})
 
-    return (
+    return partition_reduce(
         labels.map_batches(lab_route, batch_format="pandas")
-        .union(jmap.map_batches(jmap_route, batch_format="pandas"))
-        .groupby("part")
-        .map_groups(lambda g: rewrite(g.drop(columns="part")),
-                    batch_format="pandas")
-    )
+        .union(jmap.map_batches(jmap_route, batch_format="pandas")),
+        "route", rewrite, P)
 
 
 def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
@@ -365,7 +352,7 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
     import pandas as pd
     import pyarrow as pa
 
-    from kawa_ray.stages.distinct import partition_distinct
+    from kawa_ray.stages.distinct import partition_distinct, partition_reduce
 
     if partitions % jump_salt:
         raise ValueError("partitions must be a multiple of jump_salt")
@@ -401,24 +388,19 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
         then=lambda g: g[["node"]].assign(lbl=g["node"]),
     ).repartition(P, shuffle=False).materialize()
 
-    from kawa_ray.stages.distinct import route_parts
-
-    def _part_of(s: pd.Series):
-        return route_parts(s, P)
-
     for _ in range(max_rounds):
         # 1. co-locate each node's label row with its adjacency rows
         lab_rows = labels.map_batches(
             lambda df: pd.DataFrame(
                 {"node": df["node"], "nbr": [None] * len(df),
-                 "lbl": df["lbl"], "part": _part_of(df["node"])}
+                 "lbl": df["lbl"]}
             ),
             batch_format="pandas",
         )
         edge_rows = adj.map_batches(
             lambda df: pd.DataFrame(
                 {"node": df["node"], "nbr": df["nbr"],
-                 "lbl": [None] * len(df), "part": _part_of(df["node"])}
+                 "lbl": [None] * len(df)}
             ),
             batch_format="pandas",
         )
@@ -435,11 +417,8 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
                  "old": [""] * len(e) + m.tolist()}
             )
 
-        cands = (
-            lab_rows.union(edge_rows)
-            .groupby("part")
-            .map_groups(tag_part, batch_format="pandas")
-        )
+        cands = partition_reduce(lab_rows.union(edge_rows), "node",
+                                 tag_part, P)
 
         def min_part(g: pd.DataFrame) -> pd.DataFrame:
             agg = (g.groupby("nbr", sort=False)
@@ -447,15 +426,8 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
                    .reset_index())
             return agg.rename(columns={"nbr": "node"})
 
-        new_labels = (
-            cands.map_batches(
-                lambda df: df.assign(part=_part_of(df["nbr"])),
-                batch_format="pandas")
-            .groupby("part")
-            .map_groups(min_part, batch_format="pandas")
-            .repartition(P, shuffle=False)
-            .materialize()
-        )
+        new_labels = (partition_reduce(cands, "nbr", min_part, P)
+                      .repartition(P, shuffle=False).materialize())
         # convergence: remote per-batch partials, one scalar on the driver
         n_changed = new_labels.map_batches(
             lambda df: pd.DataFrame(

@@ -222,10 +222,7 @@ def merge_context_partials(partials, dim: int = EMBED_DIM,
     """Hash-partitioned merge of per-batch (norm, vsum, n) partials to a
     per-norm mean vector, L2-normalised.  Returns a pandas frame
     (norm, vector) — distinct-surface sized, bounded by the lexicon."""
-    from kawa_ray.functions.minhash import hash64
-
-    def addpart(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(part=[hash64(s) % partitions for s in df["norm"]])
+    from kawa_ray.stages.distinct import partition_reduce
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         out_norm, out_vec = [], []
@@ -238,12 +235,7 @@ def merge_context_partials(partials, dim: int = EMBED_DIM,
             out_vec.append((v / nv if nv > 0 else v).astype("<f4").tobytes())
         return pd.DataFrame({"norm": out_norm, "vec": out_vec})
 
-    return (
-        partials.map_batches(addpart, batch_format="pandas")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    return partition_reduce(partials, "norm", merge, partitions).to_pandas()
 
 
 def context_embedding_artifact(pages_ds, lexicon, dim: int = EMBED_DIM,

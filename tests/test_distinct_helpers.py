@@ -132,3 +132,103 @@ class TestRouteDtypeStability:
         assert (route_parts(s, 16) == route_parts(s.copy(), 16)).all()
         i = pd.Series([-5, 0, 63, 64, 129], dtype="int64")
         assert route_parts(i, 64).tolist() == [59, 0, 63, 0, 1]
+
+
+def test_composite_route_sees_one_value_per_call(ray_session):
+    """A caller-computed int route below P (the pointer-jump rewrite's
+    shape: salted label rows plus shortcut rows replicated once per
+    salt) must reach ``fn`` one route value per call, with every row of
+    that value in the call."""
+    P, S = 16, 4
+    rng = np.random.default_rng(6)
+    n = 600
+    label_rows = pd.DataFrame({
+        "row": np.arange(n, dtype="int64"),
+        "route": rng.integers(0, P, n).astype("int64"),
+    })
+    # shortcut rows: each replicated into all S salts of its label bucket
+    base = rng.integers(0, P // S, 40).astype("int64")
+    jump_rows = pd.DataFrame({
+        "row": np.repeat(np.arange(n, n + 40, dtype="int64"), S),
+        "route": np.repeat(base * S, S) + np.tile(np.arange(S), 40),
+    })
+    df = pd.concat([label_rows, jump_rows], ignore_index=True)
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"route": [int(g["route"].iloc[0])],
+                             "n_values": [int(g["route"].nunique())],
+                             "rows": [",".join(map(str, sorted(g["row"])))]})
+
+    got = partition_reduce(
+        rd.from_pandas(label_rows).union(rd.from_pandas(jump_rows)),
+        "route", fn, P).to_pandas()
+    assert (got["n_values"] == 1).all()
+    assert not got["route"].duplicated().any()
+    want = {int(r): ",".join(map(str, sorted(g["row"])))
+            for r, g in df.groupby("route")}
+    assert dict(zip(got["route"].astype(int), got["rows"])) == want
+
+
+_ROUTE_NAMES = {"P", "partitions", "_p", "n_parts", "n_partitions"}
+
+
+def _names(node) -> set:
+    import ast
+
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _exchange_violations(path) -> list:
+    """Hand-rolled exchanges in one module: a ``groupby("part")``, a
+    ``part`` column written (dict key, keyword or subscript), or a
+    modulo / bitmask by a partition count."""
+    import ast
+
+    tree = ast.parse(path.read_text(), str(path))
+    bad = []
+    for node in ast.walk(tree):
+        hit = None
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "groupby"
+                    and any(isinstance(a, ast.Constant) and a.value == "part"
+                            for a in node.args)):
+                hit = 'groupby("part")'
+            elif any(k.arg == "part" for k in node.keywords):
+                hit = "part= column"
+            elif (isinstance(f, ast.Attribute) and f.attr == "bit_wise_and"
+                    and _names(node) & _ROUTE_NAMES):
+                hit = "bit_wise_and route"
+        elif isinstance(node, ast.Dict):
+            if any(isinstance(k, ast.Constant) and k.value == "part"
+                   for k in node.keys):
+                hit = '"part" column'
+        elif isinstance(node, ast.Subscript):
+            if (isinstance(node.slice, ast.Constant)
+                    and node.slice.value == "part"):
+                hit = '["part"] column'
+        elif isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.Mod, ast.BitAnd)):
+            if _names(node.right) & _ROUTE_NAMES:
+                hit = "% / & partition route"
+        if hit:
+            bad.append(f"{path}:{node.lineno}: {hit}")
+    return bad
+
+
+def test_no_exchange_outside_partition_reduce():
+    """Every hash-partitioned reduce goes through
+    ``stages/distinct.partition_reduce`` and is routed only by
+    ``route_parts``: no other module may write a ``part`` column, call
+    ``groupby("part")`` or compute a partition id itself."""
+    from pathlib import Path
+
+    import kawa_ray
+
+    root = Path(kawa_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).as_posix() == "stages/distinct.py":
+            continue
+        bad += _exchange_violations(path)
+    assert not bad, "hand-rolled exchanges:\n" + "\n".join(bad)

@@ -677,6 +677,50 @@ def test_paragraph_neardup_spill_path_identical(ray_session, monkeypatch):
     assert after - before == set()
 
 
+def test_census_spills_removed_when_a_fold_raises(ray_session, monkeypatch,
+                                                  tmp_path):
+    """Force the spill tier of the gold-hash and paragraph-gram streams
+    and make the first fold over each raise: the spill directory must
+    exist when the fold fails and be gone afterwards."""
+    import tempfile
+
+    from kawa_ray.pipelines import blocking_ops, docs, pages_ops
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(blocking_ops, "_GOLD_PIN_DOCS", 0)
+    monkeypatch.setattr(pages_ops, "_PN_SPILL_PAGES", 0)
+    spilled = []
+
+    def spills():
+        return sorted(p.name for pat in ("gold-hash-*", "para-grams-*")
+                      for p in tmp_path.glob(pat))
+
+    real = blocking_ops.partition_reduce
+
+    def gold_fold_fails(ds, key_col, fn, partitions=64):
+        if key_col == "glbl":
+            spilled.append(spills())
+            raise RuntimeError("injected fold failure")
+        return real(ds, key_col, fn, partitions)
+
+    def band_fold_fails(*args, **kwargs):
+        spilled.append(spills())
+        raise RuntimeError("injected fold failure")
+
+    monkeypatch.setattr(blocking_ops, "partition_reduce", gold_fold_fails)
+    monkeypatch.setattr(docs, "_partitioned_band_pairs", band_fold_fails)
+    sf = "/root/testdata/sf0.001"
+    for census in (blocking_ops.cluster_ari_census,
+                   blocking_ops.blocking_quality_census,
+                   pages_ops.paragraph_neardup_census):
+        with pytest.raises(RuntimeError, match="injected fold failure"):
+            census(sf)
+        assert spills() == []
+    assert [len(s) for s in spilled] == [1, 1, 1]
+    assert spilled[0][0].startswith("gold-hash-")
+    assert spilled[2][0].startswith("para-grams-")
+
+
 def test_fs_decision_bands_are_consistent():
     # every pattern's decision follows its weight sum; the full-agree
     # pattern is a match, the full-disagree pattern a nonmatch

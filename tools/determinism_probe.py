@@ -44,6 +44,8 @@ def main() -> None:
     )
     from kawa_ray.pipelines.pairscore import mutual_best_match_census
     from kawa_ray.pipelines.quality_classifier import quality_classifier_census
+    from kawa_ray.pipelines.substring_dedup import doc_substring_dup_census
+    from kawa_ray.pipelines.vectors import embedding_neardup_pairs
     from kawa_ray.sources.pages import ensure_pages
 
     res: dict[str, str] = {}
@@ -65,6 +67,11 @@ def main() -> None:
         # paragraph candidates must not depend on partition count
         ("mutual_best_match_census", mutual_best_match_census),
         ("paragraph_neardup_census", paragraph_neardup_census),
+        # segment-keyed cosine verify and fingerprint/doc-keyed span
+        # merge route through the shared exchange: their outputs must
+        # not depend on partition count either
+        ("embedding_neardup_pairs", embedding_neardup_pairs),
+        ("doc_substring_dup_census", doc_substring_dup_census),
     ]:
         df = fn(sf)
         df = df.sort_values(list(df.columns)).reset_index(drop=True)

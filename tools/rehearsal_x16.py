@@ -84,7 +84,7 @@ def winnow_shuffle_stats(sf_dir: str) -> dict:
     import ray.data as rd
 
     from kawa_ray.pipelines.docs import winnow_fp_columns
-    from kawa_ray.stages.distinct import partition_distinct
+    from kawa_ray.stages.distinct import partition_distinct, route_parts
 
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "lang", "text"])
@@ -99,14 +99,15 @@ def winnow_shuffle_stats(sf_dir: str) -> dict:
         })
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        # one row per partition: its id and its deduped row count
-        return pd.DataFrame({"part": [int(g["part"].iloc[0])],
+        # one row per partition: its id (the route of any of its fps)
+        # and its deduped row count
+        return pd.DataFrame({"pid": [int(route_parts(g["fp"].iloc[:1], 64)[0])],
                              "part_rows": [len(g)]})
 
     shuffled = partition_distinct(
         ds.map_batches(fp_rows, batch_format="pyarrow"),
         ["lang", "fp"], key_col="fp", then=fold).materialize()
-    sizes = shuffled.to_pandas().set_index("part")["part_rows"]
+    sizes = shuffled.to_pandas().set_index("pid")["part_rows"]
     # straggler factor over the 64 hash partitions of the fp stream
     return {
         "n_partitions": int(len(sizes)),
