@@ -34,7 +34,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from kawa_ray.stages.distinct import partition_reduce
+from kawa_ray.stages.distinct import partition_join, partition_reduce
 from kawa_ray.stages.spill import pinned_or_spilled
 
 
@@ -655,9 +655,9 @@ def cluster_survivorship_census(sf_dir: str, num_perm: int = 64,
     (survivorship rules in MDM systems, Splink's cluster metrics).
 
     Scale shape: pair dedupe + closure exactly as the cluster census
-    (``_multirule_closure_labels``); label rows union the
-    document attribute stream through ONE doc_id-hash exchange (the
-    `_verified_edges` attach idiom) so attributes and labels meet
+    (``_multirule_closure_labels``); label rows join the document
+    attribute stream on doc_id (one ``partition_join``) so attributes
+    and labels meet
     without a driver-side node map; the canon vote runs per
     label-partition.  The labeled-member stream materializes once —
     node-space of the BLOCKING GRAPH (<= 2 x edges, the same order the
@@ -684,25 +684,16 @@ def cluster_survivorship_census(sf_dir: str, num_perm: int = 64,
         def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({"doc_id": df["doc_id"].astype("int64"),
                                  "lang": df["lang"].astype(str),
-                                 "source": df["source"].astype(str),
-                                 "lbl": [None] * len(df)})
+                                 "source": df["source"].astype(str)})
 
-        def lab_rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"doc_id": df["doc_id"].astype("int64"),
-                                 "lang": [None] * len(df),
-                                 "source": [None] * len(df),
-                                 "lbl": df["lbl"].astype(str)})
-
-        def attach(g: pd.DataFrame) -> pd.DataFrame:
-            labs = g.loc[g["lbl"].notna(), ["doc_id", "lbl"]]
-            dd = g.loc[g["lbl"].isna(), ["doc_id", "lang", "source"]]
+        def attach(dd: pd.DataFrame, labs: pd.DataFrame) -> pd.DataFrame:
             m = dd.merge(labs, on="doc_id", how="inner")
             return m[["lbl", "lang", "source"]]
 
-        members = partition_reduce(
-            docs.map_batches(doc_rows, batch_format="pandas")
-            .union(labels_ds.map_batches(lab_rows, batch_format="pandas")),
-            "doc_id", attach).materialize()  # blocking-graph node space
+        members = partition_join(
+            [(docs.map_batches(doc_rows, batch_format="pandas"), "doc_id"),
+             (labels_ds, "doc_id")],
+            attach).materialize()  # blocking-graph node space
 
         def canon_part(g: pd.DataFrame) -> pd.DataFrame:
             out_l, out_s = [], []
@@ -858,29 +849,11 @@ def cluster_ari_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
         same_both = 0
         same_pred = 0
         if labels_ds is not None:
-            def g_rows(df: pd.DataFrame) -> pd.DataFrame:
-                # numpy construction: dict-of-Series ALIGNS on index, and
-                # frames from map_groups/map_batches carry arbitrary indices
-                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                     "glbl": df["glbl"].to_numpy(dtype=object),
-                                     "lbl": pd.Series([None] * len(df),
-                                                      dtype="object")})
-
-            def l_rows(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                     "glbl": pd.Series([None] * len(df),
-                                                       dtype="object"),
-                                     "lbl": df["lbl"].to_numpy(dtype=object)})
-
-            def attach(g: pd.DataFrame) -> pd.DataFrame:
-                labs = g.loc[g["lbl"].notna(), ["doc_id", "lbl"]]
-                gg = g.loc[g["lbl"].isna(), ["doc_id", "glbl"]]
+            def attach(gg: pd.DataFrame, labs: pd.DataFrame) -> pd.DataFrame:
                 return gg.merge(labs, on="doc_id", how="inner")[["lbl", "glbl"]]
 
-            labeled = partition_reduce(
-                gold.map_batches(g_rows, batch_format="pandas")
-                .union(labels_ds.map_batches(l_rows, batch_format="pandas")),
-                "doc_id", attach)
+            labeled = partition_join([(gold, "doc_id"), (labels_ds, "doc_id")],
+                                     attach)
 
             def cont_part(g: pd.DataFrame) -> pd.DataFrame:
                 nij = g.groupby(["lbl", "glbl"]).size().to_numpy("int64")
@@ -1004,56 +977,20 @@ def blocking_quality_census(sf_dir: str, num_perm: int = 64,
 
         n_matched = 0
         if n_candidates:
-            def edge_rows_a(df: pd.DataFrame) -> pd.DataFrame:
-                # build from numpy: frames out of map_groups carry arbitrary
-                # indices, and dict-of-Series construction ALIGNS on index
-                return pd.DataFrame({"doc_id": df["a"].to_numpy("int64"),
-                                     "b": df["b"].to_numpy("int64"),
-                                     "glbl": pd.Series([None] * len(df),
-                                                       dtype="object")})
-
-            def g_mark(df: pd.DataFrame) -> pd.DataFrame:
-                # glbl-is-None marks the edge side (the attach idiom the
-                # sibling censuses use — never an in-band doc_id sentinel)
-                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                     "b": np.zeros(len(df), dtype="int64"),
-                                     "glbl": df["glbl"].to_numpy(dtype=object)})
-
-            def attach_a(g: pd.DataFrame) -> pd.DataFrame:
-                labs = g.loc[g["glbl"].notna(), ["doc_id", "glbl"]]
-                ee = g.loc[g["glbl"].isna(), ["doc_id", "b"]]
-                m = ee.merge(labs, on="doc_id", how="inner")
+            def attach_a(ee: pd.DataFrame, gg: pd.DataFrame) -> pd.DataFrame:
+                m = ee.merge(gg, left_on="a", right_on="doc_id", how="inner")
                 return pd.DataFrame({"doc_id": m["b"].to_numpy("int64"),
                                      "ga": m["glbl"].to_numpy(dtype=object)})
 
-            half = partition_reduce(
-                edges.map_batches(edge_rows_a, batch_format="pandas")
-                .union(gold.map_batches(g_mark, batch_format="pandas")),
-                "doc_id", attach_a)
+            half = partition_join([(edges, "a"), (gold, "doc_id")], attach_a)
 
-            def half_rows(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                     "ga": df["ga"].to_numpy(dtype=object),
-                                     "glbl": pd.Series([None] * len(df),
-                                                       dtype="object")})
-
-            def g_mark2(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                                     "ga": pd.Series([None] * len(df),
-                                                     dtype="object"),
-                                     "glbl": df["glbl"].to_numpy(dtype=object)})
-
-            def attach_b(g: pd.DataFrame) -> pd.DataFrame:
-                labs = g.loc[g["glbl"].notna(), ["doc_id", "glbl"]]
-                ee = g.loc[g["glbl"].isna(), ["doc_id", "ga"]]
-                m = ee.merge(labs, on="doc_id", how="inner")
+            def attach_b(ee: pd.DataFrame, gg: pd.DataFrame) -> pd.DataFrame:
+                m = ee.merge(gg, on="doc_id", how="inner")
                 n = int((m["ga"] == m["glbl"]).sum())
                 return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
 
-            for b in partition_reduce(
-                    half.map_batches(half_rows, batch_format="pandas")
-                    .union(gold.map_batches(g_mark2, batch_format="pandas")),
-                    "doc_id", attach_b).iter_batches(batch_format="pandas"):
+            for b in partition_join([(half, "doc_id"), (gold, "doc_id")],
+                                    attach_b).iter_batches(batch_format="pandas"):
                 n_matched += int(b["n"].sum())
 
     pc = 1.0 if n_gold_pairs == 0 else n_matched / n_gold_pairs
@@ -1118,50 +1055,33 @@ def cluster_density_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
     cluster lands in bucket 10), so the oracle is exact.  Output:
     (density_bucket, n_clusters) histogram.
 
-    Scale shape: one doc_id-hash exchange attaches the a-endpoint's
-    closure label to each edge (closure guarantees both endpoints
-    share it), then ONE lbl-hash exchange folds edge counts and
-    cluster sizes together (edge-marker rows and label rows ride the
-    same union); only histogram partials reach the driver."""
+    Scale shape: one ``partition_join`` on doc_id attaches the
+    a-endpoint's closure label to each edge (closure guarantees both
+    endpoints share it) and emits per-lbl partial edge and member
+    counts, then ONE lbl-hash exchange sums them; only histogram
+    partials reach the driver."""
     labels_ds, edges = _multirule_closure_labels(
         sf_dir, num_perm, bands, max_members, with_edges=True)
     if labels_ds is None:
         return pd.DataFrame({"density_bucket": pd.Series([], dtype="int64"),
                              "n_clusters": pd.Series([], dtype="int64")})
 
-    def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"doc_id": df["a"].to_numpy("int64"),
-                             "is_edge": np.ones(len(df), dtype=bool),
-                             "lbl": pd.Series([None] * len(df),
-                                              dtype="object")})
+    def attach(ee: pd.DataFrame, labs: pd.DataFrame) -> pd.DataFrame:
+        # per-lbl partials of this doc_id partition: edges by their a
+        # endpoint's label (closure puts b in the same component) and
+        # member counts from the label rows
+        e = (ee.merge(labs, left_on="a", right_on="doc_id", how="inner")
+             .groupby("lbl").size())
+        size = labs.groupby("lbl").size()
+        return pd.DataFrame({"e": e, "size": size}).fillna(0) \
+            .astype("int64").rename_axis("lbl").reset_index()
 
-    def lab_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"doc_id": df["doc_id"].to_numpy("int64"),
-                             "is_edge": np.zeros(len(df), dtype=bool),
-                             "lbl": df["lbl"].to_numpy(dtype=object)})
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        labs = g.loc[~g["is_edge"], ["doc_id", "lbl"]]
-        ee = g.loc[g["is_edge"], ["doc_id"]]
-        m = ee.merge(labs, on="doc_id", how="inner")
-        # edge-count markers and the label rows themselves ride the
-        # SAME downstream lbl exchange (is_edge distinguishes them)
-        return pd.DataFrame({
-            "lbl": np.concatenate([m["lbl"].to_numpy(dtype=object),
-                                   labs["lbl"].to_numpy(dtype=object)]),
-            "is_edge": np.concatenate([np.ones(len(m), dtype=bool),
-                                       np.zeros(len(labs), dtype=bool)]),
-        })
-
-    tagged = partition_reduce(
-        edges.map_batches(edge_rows, batch_format="pandas")
-        .union(labels_ds.map_batches(lab_rows, batch_format="pandas")),
-        "doc_id", attach)
+    tagged = partition_join([(edges, "a"), (labels_ds, "doc_id")], attach)
 
     def density_part(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("lbl")["is_edge"].agg(["sum", "size"])
-        e = per["sum"].to_numpy("int64")
-        size = (per["size"] - per["sum"]).to_numpy("int64")  # label rows
+        per = g.groupby("lbl")[["e", "size"]].sum()
+        e = per["e"].to_numpy("int64")
+        size = per["size"].to_numpy("int64")
         ok = size >= 2
         bkt = (e[ok] * 20) // (size[ok] * (size[ok] - 1))
         vals, cnts = np.unique(bkt, return_counts=True)

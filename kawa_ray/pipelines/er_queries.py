@@ -320,7 +320,7 @@ def er_mention_eval(sf_dir: str):
 
     import pandas as pd_
 
-    from kawa_ray.stages.distinct import partition_reduce
+    from kawa_ray.stages.distinct import partition_join
 
     sf = sf_of_dir(sf_dir)
     pages_dir = ensure_pages(sf)
@@ -336,46 +336,37 @@ def er_mention_eval(sf_dir: str):
 
         t = t.filter(pc.is_in(t.column("label"),
                               pa.array(sorted(ROSTER_LABELS))))
-        return pa.table({
-            "url": t.column("url"),
-            "norm": pc.cast(t.column("norm"), pa.string()),
-            "kind": pa.array(["pred"] * t.num_rows, pa.string()),
-        })
+        return pa.table({"url": t.column("url"),
+                         "norm": pc.cast(t.column("norm"), pa.string())})
 
     gold_ds = rd.read_parquet(
-        os.path.join(pages_dir, "gold_mentions.parquet"), columns=["url", "norm"]
-    ).map_batches(
-        lambda t: pa.table({"url": t.column("url"), "norm": t.column("norm"),
-                            "kind": pa.array(["gold"] * t.num_rows, pa.string())}),
-        batch_format="pyarrow",
-    )
+        os.path.join(pages_dir, "gold_mentions.parquet"), columns=["url", "norm"])
     lang_ds = rd.read_parquet(
-        os.path.join(pages_dir, "pages"), columns=["url", "lang"]
-    ).map_batches(
-        lambda t: pa.table({"url": t.column("url"), "norm": t.column("lang"),
-                            "kind": pa.array(["lang"] * t.num_rows, pa.string())}),
-        batch_format="pyarrow",
-    )
+        os.path.join(pages_dir, "pages"), columns=["url", "lang"])
 
-    def compare(g: pd_.DataFrame) -> pd_.DataFrame:
+    def compare(pred: pd_.DataFrame, gold: pd_.DataFrame,
+                lang: pd_.DataFrame) -> pd_.DataFrame:
+        preds = pred.groupby("url", sort=False)["norm"].agg(set)
+        wants = gold.groupby("url", sort=False)["norm"].agg(set)
+        lang = lang.drop_duplicates("url")
+        lang_of = dict(zip(lang["url"], lang["lang"]))
         out = {"lang": [], "tp": [], "fp": [], "fn": []}
-        for _url, grp in g.groupby("url", sort=False):
-            pred = set(grp.loc[grp["kind"] == "pred", "norm"])
-            want = set(grp.loc[grp["kind"] == "gold", "norm"])
-            langs = grp.loc[grp["kind"] == "lang", "norm"]
-            if langs.empty or (not pred and not want):
+        for url in preds.index.union(wants.index):
+            if url not in lang_of:
                 continue
-            out["lang"].append(langs.iloc[0])
-            out["tp"].append(len(pred & want))
-            out["fp"].append(len(pred - want))
-            out["fn"].append(len(want - pred))
+            got, want = preds.get(url, set()), wants.get(url, set())
+            out["lang"].append(lang_of[url])
+            out["tp"].append(len(got & want))
+            out["fp"].append(len(got - want))
+            out["fn"].append(len(want - got))
         return pd_.DataFrame(out)
 
     agg = (
-        partition_reduce(
-            res["mentions"].map_batches(pred_rows, batch_format="pyarrow")
-            .union(gold_ds, lang_ds),
-            "url", compare, 64)
+        partition_join(
+            [(res["mentions"].map_batches(pred_rows, batch_format="pyarrow"),
+              "url"),
+             (gold_ds, "url"), (lang_ds, "url")],
+            compare, 64)
         .groupby("lang")
         .aggregate(Sum("tp", alias_name="tp"), Sum("fp", alias_name="fp"),
                    Sum("fn", alias_name="fn"))

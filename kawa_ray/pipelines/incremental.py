@@ -27,6 +27,8 @@ documents (SURVEY.md §7.6).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import pandas as pd
 import pyarrow as pa
 
@@ -34,7 +36,7 @@ import ray.data as rd
 
 from kawa_ray.config import LinkageConfig
 from kawa_ray.stages.blocking import block_keys_for, node_block_keys, salt_block_keys
-from kawa_ray.stages.clustering import UnionFind
+from kawa_ray.stages.clustering import union_find_components
 from kawa_ray.stages.pairs import explode_partition
 from kawa_ray.stages.scoring import PairScorer
 
@@ -97,21 +99,8 @@ def link_increment(state: dict, pages_dir: str,
         edges = list(zip(sdf.loc[keep, "a"], sdf.loc[keep, "b"]))
 
     # union-find seeded with previous assignments (cluster label = member)
-    uf = UnionFind()
-    for norm, cluster in state["norm2cluster"].items():
-        uf.union(norm, cluster)
-    for a, b in edges:
-        uf.union(a, b)
-    for n in nodes:
-        uf.find(n)
-    members: dict = {}
-    for x in list(uf.parent):
-        members.setdefault(uf.find(x), []).append(x)
-    norm2cluster: dict[str, str] = {}
-    for mem in members.values():
-        label = min(mem)
-        for x in mem:
-            norm2cluster[x] = label
+    norm2cluster = union_find_components(
+        chain(state["norm2cluster"].items(), edges), nodes)
 
     return {
         "nodes": nodes,

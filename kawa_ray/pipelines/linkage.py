@@ -129,7 +129,6 @@ def build_nodes(mentions: rd.Dataset, driver_threshold: int = 2_000_000) -> rd.D
 
 
 def candidate_pairs(nodes: rd.Dataset, cfg: LinkageConfig,
-                    partitions: int | None = None,
                     ent_of: dict[str, int] | None = None) -> rd.Dataset:
     """S3+S4: nodes -> deduped candidate pairs (a < b).
 
@@ -138,7 +137,6 @@ def candidate_pairs(nodes: rd.Dataset, cfg: LinkageConfig,
     but downstream work runs once per partition with an in-batch pandas
     groupby instead of once per distinct key (per-group dispatch overhead
     dominated this stage at 10k+ block keys)."""
-    from kawa_ray.functions.minhash import hash64
     from kawa_ray.stages.pairs import explode_partition
 
     n_nodes = nodes.count()
@@ -162,15 +160,14 @@ def candidate_pairs(nodes: rd.Dataset, cfg: LinkageConfig,
         lambda b: node_block_keys(b, cfg, ent_of), batch_format="pyarrow"
     ).materialize()  # reused by the census AND the explode below
     n_keyed = keyed.count()
-    if partitions is None:
-        # one partition per ~4k key rows, capped at 2x cluster CPUs: enough
-        # spread for balance, few enough reduce tasks that per-task overhead
-        # stays off the critical path on small inputs
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-        except Exception:
-            cpus = 4
-        partitions = max(1, min(2 * cpus, n_keyed // 4096 + 1))
+    # one partition per ~4k key rows, capped at 2x cluster CPUs: enough
+    # spread for balance, few enough reduce tasks that per-task overhead
+    # stays off the critical path on small inputs
+    try:
+        cpus = int(ray.cluster_resources().get("CPU", 4))
+    except Exception:
+        cpus = 4
+    partitions = max(1, min(2 * cpus, n_keyed // 4096 + 1))
     # first-pass block-size census: block_key is data-cardinality, so it
     # goes through the hash-partitioned reduce (never a per-key Ray
     # aggregate); only the hot rows (> threshold, a tiny set) leave it
@@ -261,6 +258,21 @@ def cluster_norms(scored: rd.Dataset, nodes: rd.Dataset, cfg: LinkageConfig) -> 
     return norm2cluster
 
 
+def attach_clusters(mentions: pa.Table, norm2cluster: dict[str, str]) -> pa.Table:
+    """Attach: each mention's ``entity_cluster`` from the norm -> cluster
+    map (a norm outside the map is its own cluster)."""
+    norms = mentions.column("norm").to_pylist()
+    return pa.table(
+        {
+            "mention_id": mentions.column("mention_id"),
+            "url": mentions.column("url"),
+            "norm": mentions.column("norm"),
+            "entity_cluster": pa.array([norm2cluster.get(n, n) for n in norms],
+                                       pa.string()),
+        }
+    )
+
+
 def link_pages(pages_dir: str, cfg: LinkageConfig | None = None,
                n_entities: int = 300):
     """End-to-end linkage.  Returns dict with datasets + the cluster map:
@@ -336,21 +348,9 @@ def link_pages(pages_dir: str, cfg: LinkageConfig | None = None,
     norm2cluster = cluster_norms(scored, nodes, cfg)
     n_pairs = scored.count()
     c_ref = ray.put(norm2cluster)
-
-    def attach(batch: pa.Table, _ref=c_ref) -> pa.Table:
-        cmap = ray.get(_ref)
-        norms = batch.column("norm").to_pylist()
-        clusters = [cmap.get(n, n) for n in norms]
-        return pa.table(
-            {
-                "mention_id": batch.column("mention_id"),
-                "url": batch.column("url"),
-                "norm": batch.column("norm"),
-                "entity_cluster": pa.array(clusters, pa.string()),
-            }
-        )
-
-    clusters = mentions.map_batches(attach, batch_format="pyarrow")
+    clusters = mentions.map_batches(
+        lambda batch, _ref=c_ref: attach_clusters(batch, ray.get(_ref)),
+        batch_format="pyarrow")
     return {
         "mentions": mentions,
         "clusters": clusters,

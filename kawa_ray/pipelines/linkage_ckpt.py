@@ -81,16 +81,9 @@ class ClusterShardWorker(ShardWorker):
         self.cmap = ray.get(cmap_ref)
 
     def transform(self, table: pa.Table, pid: int) -> pa.Table:
-        norms = table.column("norm").to_pylist()
-        clusters = [self.cmap.get(n, n) for n in norms]
-        return pa.table(
-            {
-                "mention_id": table.column("mention_id"),
-                "url": table.column("url"),
-                "norm": table.column("norm"),
-                "entity_cluster": pa.array(clusters, pa.string()),
-            }
-        )
+        from kawa_ray.pipelines.linkage import attach_clusters
+
+        return attach_clusters(table, self.cmap)
 
 
 def _graph_stage(out_root: str, fingerprint: str, cfg: LinkageConfig,

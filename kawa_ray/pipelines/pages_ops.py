@@ -787,7 +787,7 @@ def paragraph_neardup_census(sf_dir: str, num_perm: int = _PN_PERM,
 
     from kawa_ray.functions.minhash import md5_low64_per_doc, word_ngrams
     from kawa_ray.pipelines.docs import _WS, _partitioned_band_pairs
-    from kawa_ray.stages.distinct import partition_reduce
+    from kawa_ray.stages.distinct import partition_join
     from kawa_ray.stages.spill import pinned_or_spilled
 
     paras = _para_frames(sf_dir)
@@ -811,8 +811,7 @@ def paragraph_neardup_census(sf_dir: str, num_perm: int = _PN_PERM,
                 continue
             out_pid.append(int(pid))
             # bytes, not ndarray: Ray's pandas block layer converts
-            # object-of-ndarray columns to TensorArrays, which cannot
-            # concat with the None-marker side of the attach union
+            # object-of-ndarray columns to TensorArrays
             out_h.append(uh.astype(np.uint64).tobytes())
         return pd.DataFrame({
             "doc_id": pd.Series(out_pid, dtype="int64"),
@@ -867,46 +866,17 @@ def paragraph_neardup_census(sf_dir: str, num_perm: int = _PN_PERM,
 
         n_neardup = 0
         if n_candidates:
-            def pair_rows(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({
-                    "doc_id": df["a"].to_numpy("int64"),
-                    "b": df["b"].to_numpy("int64"),
-                    "h": pd.Series([None] * len(df), dtype="object")})
-
-            def g_mark(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({
-                    "doc_id": df["doc_id"].to_numpy("int64"),
-                    "b": np.full(len(df), 0, dtype="int64"),
-                    "h": df["h"].to_numpy(dtype=object)})
-
-            def attach_a(g: pd.DataFrame) -> pd.DataFrame:
-                labs = g.loc[g["h"].notna(), ["doc_id", "h"]]
-                ee = g.loc[g["h"].isna(), ["doc_id", "b"]]
-                m = ee.merge(labs, on="doc_id", how="inner")
+            def attach_a(pairs: pd.DataFrame,
+                         gr: pd.DataFrame) -> pd.DataFrame:
+                m = pairs.merge(gr[["doc_id", "h"]], left_on="a",
+                                right_on="doc_id", how="inner")
                 return pd.DataFrame({"doc_id": m["b"].to_numpy("int64"),
                                      "ha": m["h"].to_numpy(dtype=object)})
 
-            half = partition_reduce(
-                cand.map_batches(pair_rows, batch_format="pandas")
-                .union(grams.map_batches(g_mark, batch_format="pandas")),
-                "doc_id", attach_a)
+            half = partition_join([(cand, "a"), (grams, "doc_id")], attach_a)
 
-            def half_rows(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({
-                    "doc_id": df["doc_id"].to_numpy("int64"),
-                    "ha": df["ha"].to_numpy(dtype=object),
-                    "h": pd.Series([None] * len(df), dtype="object")})
-
-            def g_mark2(df: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({
-                    "doc_id": df["doc_id"].to_numpy("int64"),
-                    "ha": pd.Series([None] * len(df), dtype="object"),
-                    "h": df["h"].to_numpy(dtype=object)})
-
-            def verify(g: pd.DataFrame) -> pd.DataFrame:
-                labs = g.loc[g["h"].notna(), ["doc_id", "h"]]
-                ee = g.loc[g["ha"].notna(), ["doc_id", "ha"]]
-                m = ee.merge(labs, on="doc_id", how="inner")
+            def verify(half: pd.DataFrame, gr: pd.DataFrame) -> pd.DataFrame:
+                m = half.merge(gr[["doc_id", "h"]], on="doc_id", how="inner")
                 if m.empty:
                     return pd.DataFrame({"n": pd.Series([0], dtype="int64")})
                 # vectorised intersection: both arrays are internally
@@ -932,10 +902,8 @@ def paragraph_neardup_census(sf_dir: str, num_perm: int = _PN_PERM,
                 return pd.DataFrame({"n": pd.Series([int(ok.sum())],
                                                     dtype="int64")})
 
-            for b in partition_reduce(
-                    half.map_batches(half_rows, batch_format="pandas")
-                    .union(grams.map_batches(g_mark2, batch_format="pandas")),
-                    "doc_id", verify).iter_batches(batch_format="pandas"):
+            for b in partition_join([(half, "doc_id"), (grams, "doc_id")],
+                                    verify).iter_batches(batch_format="pandas"):
                 n_neardup += int(b["n"].sum())
 
     return pd.DataFrame({

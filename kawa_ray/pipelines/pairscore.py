@@ -34,7 +34,7 @@ import pandas as pd
 
 import ray.data as rd
 
-from kawa_ray.stages.distinct import partition_reduce
+from kawa_ray.stages.distinct import partition_join, partition_reduce
 
 _WS = re.compile(r"\s+")
 
@@ -186,8 +186,8 @@ def tfidf_cosine_pairs_census(sf_dir: str, bucket: int = _TC_BUCKET,
     (mirrored in the oracle).  Output: (bucket, n_pairs) histogram.
 
     Three hash-partition exchanges, none carrying text: df attaches on
-    the token hash, per-doc norms + block keys attach on doc_id (the
-    attr rows union into the same exchange), pairs score inside the
+    the token hash, per-doc norms + block keys attach on doc_id (one
+    ``partition_join`` of token and attr rows), pairs score inside the
     block-key partition and only histogram partials leave."""
     import math
 
@@ -239,32 +239,21 @@ def tfidf_cosine_pairs_census(sf_dir: str, bucket: int = _TC_BUCKET,
     weighted = partition_reduce(tok, "th", attach_idf, partitions=P)
 
     def attr_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "th": pd.Series([], dtype="int64"),
-                                 "w": pd.Series([], dtype="int64"),
-                                 "k": pd.Series([], dtype="str")})
         return pd.DataFrame({
             "doc_id": df["doc_id"].astype("int64"),
-            "th": pd.Series([-1] * len(df), dtype="int64"),
-            "w": pd.Series([0] * len(df), dtype="int64"),
             "k": df["lang"].fillna("") + "|"
             + (df["n_chars"].astype("int64") // bucket).astype(str),
         })
 
-    def attach_key(g: pd.DataFrame) -> pd.DataFrame:
-        # th == -1 marks the attr row (the _verified_edges attach idiom)
-        keys = g.loc[g["th"] == -1, ["doc_id", "k"]]
-        toks = g.loc[g["th"] != -1, ["doc_id", "th", "w"]]
+    def attach_key(toks: pd.DataFrame, keys: pd.DataFrame) -> pd.DataFrame:
         m = toks.merge(keys, on="doc_id", how="inner")
         n2 = m.groupby("doc_id")["w"].transform(lambda s: (s * s).sum())
         return m.assign(n2=n2.astype("int64"))
 
-    keyed = partition_reduce(
-        weighted.map_batches(lambda df: df.assign(k=""),
-                             batch_format="pandas")
-        .union(docs.map_batches(attr_rows, batch_format="pandas")),
-        "doc_id", attach_key, partitions=P)
+    keyed = partition_join(
+        [(weighted, "doc_id"),
+         (docs.map_batches(attr_rows, batch_format="pandas"), "doc_id")],
+        attach_key, partitions=P)
 
     def score_part(g: pd.DataFrame) -> pd.DataFrame:
         out: dict[int, int] = {}

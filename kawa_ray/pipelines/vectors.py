@@ -20,7 +20,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from kawa_ray.stages.distinct import partition_reduce
+from kawa_ray.stages.distinct import partition_join, partition_reduce
 
 N_QUERIES = 3
 TOP_K = 10
@@ -286,33 +286,21 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
         # per-segment dedup + size gate; re-route survivors by vec_id
         g = g.drop_duplicates(["label", "band", "key", "vec_id"])
         sz = g.groupby(["label", "band", "key"])["vec_id"].transform("size")
-        g = g[(sz >= 2) & (sz <= _EMB_MAX_MEMBERS)]
-        return pd.DataFrame({
-            "seg": g["seg"].to_numpy("int64"),
-            "label": g["label"].to_numpy("int64"),
-            "band": g["band"].to_numpy("int64"),
-            "key": g["key"].to_numpy("int64"),
-            "vec_id": g["vec_id"].to_numpy("int64"),
-            "vec": pd.Series([None] * len(g), dtype=object),
-        })
+        return g[(sz >= 2) & (sz <= _EMB_MAX_MEMBERS)]
 
     def vec_rows(t: pa.Table) -> pd.DataFrame:
         ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
         M = np.stack([np.asarray(v, dtype=np.float64)
                       for v in t.column("embedding").to_pylist()])
         return pd.DataFrame({
-            "seg": np.full(len(ids), -1, dtype=np.int64),
-            "label": np.full(len(ids), -1, dtype=np.int64),
-            "band": np.full(len(ids), -1, dtype=np.int64),
-            "key": np.full(len(ids), -1, dtype=np.int64),
             "vec_id": ids,
             "vec": pd.Series([m.tobytes() for m in M], dtype=object),
         })
 
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        src = g[g["band"] < 0]
+    def attach(m: pd.DataFrame, src: pd.DataFrame) -> pd.DataFrame:
+        if m.empty:
+            return m
         vmap = pd.Series(src["vec"].to_numpy(), index=src["vec_id"].to_numpy())
-        m = g[g["band"] >= 0]
         vec = m["vec_id"].map(vmap)
         if vec.isna().any():
             raise RuntimeError("surviving member without a co-located vector")
@@ -363,9 +351,10 @@ def embedding_neardup_pairs(sf_dir: str, threshold: float = 0.35):
         members = partition_reduce(
             ds.map_batches(band_rows, batch_format="pyarrow"), "seg",
             survivors, P)
-        seg_rows = partition_reduce(
-            members.union(ds.map_batches(vec_rows, batch_format="pyarrow")),
-            "vec_id", attach, P)
+        seg_rows = partition_join(
+            [(members, "vec_id"),
+             (ds.map_batches(vec_rows, batch_format="pyarrow"), "vec_id")],
+            attach, P)
     else:
         seg_rows = ds.map_batches(band_rows_vec, batch_format="pyarrow")
     out = partition_reduce(seg_rows, "seg", explode, P).to_pandas()

@@ -255,7 +255,11 @@ def _pointer_jump(labels, P: int, S: int):
     """
     import numpy as np
 
-    from kawa_ray.stages.distinct import partition_reduce, route_parts
+    from kawa_ray.stages.distinct import (
+        partition_join,
+        partition_reduce,
+        route_parts,
+    )
 
     B = P // S
 
@@ -284,34 +288,29 @@ def _pointer_jump(labels, P: int, S: int):
                             "key", resolve, P)
 
     def lab_route(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "node": df["node"], "lbl": df["lbl"],
-            "jlbl": [None] * len(df),
-            "route": route_parts(df["lbl"], B) * S + route_parts(df["node"], S),
-        })
+        return df.assign(route=route_parts(df["lbl"], B) * S
+                         + route_parts(df["node"], S))
 
     def jmap_route(df: pd.DataFrame) -> pd.DataFrame:
         n = len(df)
         base = route_parts(df["lbl"], B)
         return pd.DataFrame({
-            "node": pd.Series([None] * (n * S), dtype=object),
             "lbl": np.repeat(df["lbl"].to_numpy(dtype=object), S),
             "jlbl": np.repeat(df["jlbl"].to_numpy(dtype=object), S),
             "route": np.repeat(base * S, S) + np.tile(np.arange(S), n),
         })
 
-    def rewrite(g: pd.DataFrame) -> pd.DataFrame:
-        jm = g[g["node"].isna()]
-        lab = g[g["node"].notna()]
+    def rewrite(lab: pd.DataFrame, jm: pd.DataFrame) -> pd.DataFrame:
+        if jm.empty:
+            return lab[["node", "lbl"]]
         m = pd.Series(jm["jlbl"].to_numpy(), index=jm["lbl"].to_numpy())
-        new = lab["lbl"].map(m)
         return pd.DataFrame({"node": lab["node"],
-                             "lbl": new.fillna(lab["lbl"])})
+                             "lbl": lab["lbl"].map(m).fillna(lab["lbl"])})
 
-    return partition_reduce(
-        labels.map_batches(lab_route, batch_format="pandas")
-        .union(jmap.map_batches(jmap_route, batch_format="pandas")),
-        "route", rewrite, P)
+    return partition_join(
+        [(labels.map_batches(lab_route, batch_format="pandas"), "route"),
+         (jmap.map_batches(jmap_route, batch_format="pandas"), "route")],
+        rewrite, P)
 
 
 def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
@@ -330,8 +329,8 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
     equivalent in tests, incl. a seeded random graph and a path graph
     of diameter >> max_rounds that only converges via the jump):
 
-      1. partition label rows (node, lbl) and edge rows (node, nbr) by
-         hash(node) — co-located, so an in-batch pandas groupby tags
+      1. join label rows (node, lbl) and edge rows (node, nbr) on
+         node — co-located, so an in-batch pandas groupby tags
          every edge with its node's current label (cost per PARTITION,
          not per node: Ray's map_groups/aggregate pay ~1.5-2 ms per
          distinct key, the stages/distinct.py rule);
@@ -352,7 +351,11 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
     import pandas as pd
     import pyarrow as pa
 
-    from kawa_ray.stages.distinct import partition_distinct, partition_reduce
+    from kawa_ray.stages.distinct import (
+        partition_distinct,
+        partition_join,
+        partition_reduce,
+    )
 
     if partitions % jump_salt:
         raise ValueError("partitions must be a multiple of jump_salt")
@@ -390,26 +393,10 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
 
     for _ in range(max_rounds):
         # 1. co-locate each node's label row with its adjacency rows
-        lab_rows = labels.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df["node"], "nbr": [None] * len(df),
-                 "lbl": df["lbl"]}
-            ),
-            batch_format="pandas",
-        )
-        edge_rows = adj.map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df["node"], "nbr": df["nbr"],
-                 "lbl": [None] * len(df)}
-            ),
-            batch_format="pandas",
-        )
-
-        def tag_part(g: pd.DataFrame) -> pd.DataFrame:
+        def tag_part(lab: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
             # per-node current label (exactly one label row per node,
             # co-located by the partition hash)
-            m = g.dropna(subset=["lbl"]).groupby("node", sort=False)["lbl"].min()
-            e = g[g["nbr"].notna()]
+            m = lab.groupby("node", sort=False)["lbl"].min()
             cand = m.reindex(e["node"]).to_numpy()
             return pd.DataFrame(
                 {"nbr": e["nbr"].tolist() + m.index.tolist(),
@@ -417,8 +404,7 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20,
                  "old": [""] * len(e) + m.tolist()}
             )
 
-        cands = partition_reduce(lab_rows.union(edge_rows), "node",
-                                 tag_part, P)
+        cands = partition_join([(labels, "node"), (adj, "node")], tag_part, P)
 
         def min_part(g: pd.DataFrame) -> pd.DataFrame:
             agg = (g.groupby("nbr", sort=False)

@@ -16,13 +16,22 @@ computes with ``route_parts`` and keeps below ``partitions``: each
 ``fn`` call then sees exactly one route value.  A chain of exchanges
 routes each step on its own key column.  Which exchange backend runs
 is decided here and nowhere else.
+
+Join rule: a keyed join of two or more Datasets is one
+``partition_join(sides, fn, partitions)`` call, itself one
+``partition_reduce``.  Each side keeps its own columns and dtypes, so
+no caller pads sides to one schema or marks them with a sentinel, a
+flag or a None payload, and no caller unions streams into
+``partition_reduce`` (tests/test_distinct_helpers.py scans for it).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray.data as rd
 
@@ -51,6 +60,71 @@ def partition_reduce(ds: rd.Dataset, key_col: str,
     )
 
 
+def partition_join(sides: list[tuple[rd.Dataset, str]],
+                   fn: Callable[..., pd.DataFrame],
+                   partitions: int = 64) -> rd.Dataset:
+    """Keyed join: route every side on its key column and run
+    ``fn(*frames)`` once per partition, frame *i* holding every row of
+    side *i* routed there.
+
+    A side travels as one row per (input batch, route) whose payload is
+    that route's Arrow slice in IPC form, so each frame comes back with
+    its side's own columns and Arrow dtypes (full-range int64, bytes
+    and str unchanged; nothing is padded, so nothing is promoted).
+    Every batch sends all ``partitions`` routes, empty slices included:
+    a side with no rows in a partition still arrives as an empty frame
+    with its columns.  Ray never maps an empty batch, so only a side
+    with no rows at all arrives column-less; ``fn`` sees that as an
+    empty frame.  Keys route by ``route_parts``: equal keys of the same
+    kind meet, and int routes below ``partitions`` route by value.
+    """
+    def ipc(t: pa.Table) -> bytes:
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, t.schema) as w:
+            w.write_table(t)
+        return sink.getvalue().to_pybytes()
+
+    def encode(i: int, key_col: str):
+        def rows(t: pa.Table) -> pa.Table:
+            t = t.replace_schema_metadata(None)
+            route = route_parts(t.column(key_col).to_pandas(), partitions)
+            t = t.take(np.argsort(route, kind="stable"))
+            n = np.bincount(route, minlength=partitions)
+            empty = ipc(t.slice(0, 0))
+            return pa.table({
+                "route": pa.array(np.arange(partitions, dtype=np.int64)),
+                "side": pa.array(np.full(partitions, i, dtype=np.int64)),
+                "rows": pa.array(n.astype(np.int64)),
+                "payload": pa.array(
+                    [ipc(t.slice(lo, k)) if k else empty
+                     for lo, k in zip(np.cumsum(n) - n, n)],
+                    pa.large_binary()),
+            })
+        return rows
+
+    n_sides = len(sides)  # never close over ``sides``: its Datasets would
+    # ride every task's pickled closure, lineage and all
+
+    def join(g: pd.DataFrame) -> pd.DataFrame:
+        frames = []
+        for i in range(n_sides):
+            mine = g[g["side"] == i]
+            full = mine.loc[mine["rows"] > 0, "payload"]
+            # empty slices only carry the schema: decode one of them
+            tables = [pa.ipc.open_stream(b).read_all()
+                      for b in (full if len(full) else mine["payload"][:1])]
+            frames.append(
+                pa.concat_tables(tables, promote_options="permissive")
+                .to_pandas() if tables else pd.DataFrame())
+        return fn(*frames)
+
+    encoded = [ds.map_batches(encode(i, key), batch_format="pyarrow",
+                              batch_size=None, zero_copy_batch=True)
+               for i, (ds, key) in enumerate(sides)]
+    return partition_reduce(encoded[0].union(*encoded[1:]), "route", join,
+                            partitions)
+
+
 def route_parts(k: pd.Series, P: int):
     """Deterministic partition ids for a key Series — the only routing
     function in the package (``partition_reduce`` calls it on every
@@ -67,8 +141,6 @@ def route_parts(k: pd.Series, P: int):
     per-row Python digest loop was the dominant cost of the assign
     stage on string keys).  Routing only needs within-run determinism;
     no output depends on WHICH partition a key lands in."""
-    import numpy as np
-
     kind = k.dtype.kind
     if kind == "O":
         probe = next((x for x in k if x is not None), None)

@@ -144,3 +144,37 @@ def test_cross_dump_neardup_verify_confirms_hits(ray_session):
     merged = near.merge(band, on="lang")
     assert (merged["n_neardup_vs_old"] <= merged["n_banddup_vs_old"]).all()
     assert (merged["n_new_banded_x"] == merged["n_new_banded_y"]).all()
+
+
+def test_ngram_census_large_doc_ids_match_duckdb(ray_session, docs_mod,
+                                                 monkeypatch, tmp_path):
+    """Doc ids above 2**32: the verify step must key each candidate pair
+    by (a, b) itself.  Packed as a·2^32 + b, the pairs (7, 2^33+7) and
+    (8, 2^32+7) collide and both true duplicates were dropped."""
+    import duckdb
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    a_text = "the quick brown fox jumps over the lazy dog near the river bank"
+    b_text = "seven wild geese fly south across a cold grey autumn sky today"
+    c_text = "an unrelated line about tax forms filed late in the spring season"
+    df = pd.DataFrame({
+        "doc_id": np.array([7, 2**33 + 7, 8, 2**32 + 7, 3], dtype="int64"),
+        "text": [a_text, a_text, b_text, b_text, c_text],
+        "lang": ["en"] * 5,
+        "source": ["web"] * 5,
+    })
+    df["n_chars"] = df["text"].str.len().astype("int64")
+    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
+                   str(tmp_path / "documents.parquet"))
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    want = con.execute(docs_mod.NGRAM_JACCARD_SQL).df().astype("int64")
+    assert int(want["n_duplicates"].iloc[0]) == 2
+    for threshold in (docs_mod._DRIVER_EDGE_THRESHOLD, 0):
+        monkeypatch.setattr(docs_mod, "_DRIVER_EDGE_THRESHOLD", threshold)
+        got = docs_mod.ngram_jaccard_dedup_docs(str(tmp_path)).astype("int64")
+        pd.testing.assert_frame_equal(got[list(want.columns)], want,
+                                      obj=f"threshold {threshold}")

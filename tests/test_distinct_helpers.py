@@ -10,7 +10,11 @@ import pytest
 
 import ray.data as rd
 
-from kawa_ray.stages.distinct import partition_distinct, partition_reduce
+from kawa_ray.stages.distinct import (
+    partition_distinct,
+    partition_join,
+    partition_reduce,
+)
 
 
 def _frame(seed: int, n: int = 5000) -> pd.DataFrame:
@@ -169,6 +173,93 @@ def test_composite_route_sees_one_value_per_call(ray_session):
     assert dict(zip(got["route"].astype(int), got["rows"])) == want
 
 
+def test_partition_join_keeps_side_dtypes(ray_session):
+    """Each side comes back with its own columns and dtypes: an int64
+    near 2**62, bytes and str survive unchanged (a None-padded union
+    turned such ints into float64), and a side with no rows in a
+    partition still arrives with its columns."""
+    big = [2**62 + 12345, 2**62 + 1, -(2**62) - 7, 5]
+    left = pd.DataFrame({"k": np.array([0, 1, 2, 3], dtype="int64"),
+                         "big": np.array(big, dtype="int64"),
+                         "raw": [b"\x00\xff", b"", b"ab", b"\x01"],
+                         "txt": ["a", "", "ü", "d"]})
+    right = pd.DataFrame({"k": np.array([1, 3], dtype="int64"),
+                          "w": np.array([0.5, 1.5])})
+
+    def fn(lf: pd.DataFrame, rf: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "n_left": [len(lf)], "n_right": [len(rf)],
+            "left_dtypes": [",".join(f"{c}:{t}" for c, t in lf.dtypes.items())],
+            "right_cols": [",".join(rf.columns)],
+            "big": [",".join(map(str, lf["big"].tolist()))],
+            "raw": [b"|".join(lf["raw"])],
+            "txt": ["|".join(lf["txt"])]})
+
+    got = partition_join([(rd.from_pandas(left), "k"),
+                          (rd.from_pandas(right), "k")], fn, 4).to_pandas()
+    assert len(got) == 4 and got["n_left"].sum() == 4
+    assert sorted(got["n_right"]) == [0, 0, 1, 1]
+    assert set(got["left_dtypes"]) == {"k:int64,big:int64,raw:object,txt:object"}
+    assert set(got["right_cols"]) == {"k,w"}
+    assert sorted(int(x) for x in got["big"]) == sorted(big)
+    assert sorted(got["raw"]) == sorted(left["raw"])
+    assert sorted(got["txt"]) == sorted(left["txt"])
+
+
+def test_partition_join_three_way_sees_each_row_once(ray_session):
+    rng = np.random.default_rng(3)
+    frames = [pd.DataFrame({"key": [f"u{int(x)}" for x in rng.integers(0, 40, n)],
+                            "row": np.arange(n, dtype="int64") + 1000 * i})
+              for i, n in enumerate([300, 120, 60])]
+
+    def fn(*fs: pd.DataFrame) -> pd.DataFrame:
+        keys = [set(f["key"]) for f in fs]
+        return pd.DataFrame({"side": [0, 1, 2],
+                             "rows": [",".join(map(str, f["row"])) for f in fs],
+                             "keys": [",".join(sorted(k)) for k in keys]})
+
+    got = partition_join([(rd.from_pandas(f), "key") for f in frames],
+                         fn, 8).to_pandas()
+    for i, f in enumerate(frames):
+        part = got[got["side"] == i]
+        rows = [int(r) for s in part["rows"] if s for r in s.split(",")]
+        assert sorted(rows) == f["row"].tolist()
+    # a key's rows meet in one partition on every side
+    owners: dict = {}
+    for _, r in got.iterrows():
+        for k in filter(None, r["keys"].split(",")):
+            owners.setdefault(k, set()).add(r.name // 3)
+    assert all(len(v) == 1 for v in owners.values())
+
+
+def test_partition_join_composite_route_by_value(ray_session):
+    """Int routes below P meet by value, the pointer jump's contract:
+    salted label rows on one side, shortcut rows replicated once per
+    salt on the other."""
+    P, S = 16, 4
+    rng = np.random.default_rng(6)
+    labels = pd.DataFrame({"route": rng.integers(0, P, 500).astype("int64"),
+                           "row": np.arange(500, dtype="int64")})
+    base = rng.integers(0, P // S, 30).astype("int64")
+    jumps = pd.DataFrame({
+        "route": np.repeat(base * S, S) + np.tile(np.arange(S), 30),
+        "jump": np.repeat(np.arange(30, dtype="int64"), S)})
+
+    def fn(lab: pd.DataFrame, jm: pd.DataFrame) -> pd.DataFrame:
+        routes = set(lab["route"]) | set(jm["route"])
+        return pd.DataFrame({"route": [min(routes)], "n_routes": [len(routes)],
+                             "rows": [len(lab)], "jumps": [len(jm)]})
+
+    got = partition_join([(rd.from_pandas(labels), "route"),
+                          (rd.from_pandas(jumps), "route")], fn, P).to_pandas()
+    assert (got["n_routes"] == 1).all()
+    want_rows = labels.groupby("route").size()
+    want_jumps = jumps.groupby("route").size()
+    for _, r in got.iterrows():
+        assert r["rows"] == want_rows.get(r["route"], 0)
+        assert r["jumps"] == want_jumps.get(r["route"], 0)
+
+
 _ROUTE_NAMES = {"P", "partitions", "_p", "n_parts", "n_partitions"}
 
 
@@ -232,3 +323,90 @@ def test_no_exchange_outside_partition_reduce():
             continue
         bad += _exchange_violations(path)
     assert not bad, "hand-rolled exchanges:\n" + "\n".join(bad)
+
+
+def _union_join_sites(src: str, name: str = "<src>") -> list:
+    """``Dataset.union`` calls whose result feeds ``partition_reduce`` or
+    ``partition_distinct`` inside one function, directly or through a
+    local name: a hand-rolled join (padded sides plus a side marker)
+    that belongs in ``partition_join``.  One entry per union call."""
+    import ast
+
+    def is_union(node) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "union")
+
+    def is_reduce(node) -> bool:
+        f = node.func
+        fname = (f.id if isinstance(f, ast.Name)
+                 else f.attr if isinstance(f, ast.Attribute) else None)
+        return fname in ("partition_reduce", "partition_distinct")
+
+    sites = set()
+    for fn in ast.walk(ast.parse(src, name)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned = {}  # local name -> line of the union it holds
+        for st in ast.walk(fn):
+            if isinstance(st, ast.Assign):
+                unions = [n for n in ast.walk(st.value) if is_union(n)]
+                for t in st.targets:
+                    if unions and isinstance(t, ast.Name):
+                        assigned[t.id] = unions[0].lineno
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and is_reduce(call)
+                    and call.args):
+                continue
+            for n in ast.walk(call.args[0]):
+                if is_union(n):
+                    sites.add(n.lineno)
+                elif isinstance(n, ast.Name) and n.id in assigned:
+                    sites.add(assigned[n.id])
+    return [f"{name}:{line}" for line in sorted(sites)]
+
+
+def test_union_join_scanner_shapes():
+    """The scanner flags a union fed to the exchange directly or via a
+    name, and leaves union-find, set and returned-stream unions alone."""
+    flagged = '''
+def direct(a, b):
+    return partition_reduce(a.map_batches(f).union(b), "k", fn)
+
+def via_name(a, b):
+    rows = a.union(b)
+    return partition_reduce(rows, "k", fn)
+'''
+    allowed = '''
+def uf(edges):
+    u = UnionFind()
+    for a, b in edges:
+        u.union(a, b)
+
+S = frozenset().union(*groups)
+
+def tagged(a, b):
+    return a.union(b)
+
+def consumer(x):
+    return partition_reduce(tagged(x, x), "a", fn)
+'''
+    assert _union_join_sites(flagged) == ["<src>:3", "<src>:6"]
+    assert _union_join_sites(allowed) == []
+
+
+def test_no_union_join_outside_partition_join():
+    """Keyed joins of two or more Datasets go through
+    ``stages/distinct.partition_join``: no module outside
+    ``stages/distinct.py`` unions streams into the exchange."""
+    from pathlib import Path
+
+    import kawa_ray
+
+    root = Path(kawa_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).as_posix() == "stages/distinct.py":
+            continue
+        bad += _union_join_sites(path.read_text(), str(path))
+    assert not bad, "union joins outside partition_join:\n" + "\n".join(bad)
