@@ -34,7 +34,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from kawa_ray.stages.distinct import partition_join, partition_reduce
+from kawa_ray.stages.distinct import fold_counts, partition_join, partition_reduce
+from kawa_ray.stages.pairs import block_pairs
 from kawa_ray.stages.spill import pinned_or_spilled
 
 
@@ -244,41 +245,16 @@ SNM_BLOCKING_SQL = _snm_sql()
 _MB_MAX_MEMBERS = 64
 
 
-def _segment_pairs(key_col: str, max_members: int, keep_keys: bool = False):
-    """Per-partition equality-block pair emitter: one numpy segment
-    split on ``key_col`` (the ``_partitioned_band_pairs`` idiom —
-    groupby.map_groups pays per-group dispatch, this pays per
-    partition), blocks larger than ``max_members`` dropped whole.
+def _block_pairs_part(key_col: str, max_members: int):
+    """Per-partition equality-block pair emitter over ``key_col`` (one
+    ``block_pairs`` call; blocks above ``max_members`` dropped whole).
     Emits one (a, b) row per block membership — NOT deduplicated
     across blocks, so callers can count multiplicity (meta-blocking)
-    or dedup downstream (union blocking).  ``keep_keys`` adds the
-    block key as a column (callers that fuse several keyed rules into
-    one shuffle recover the rule from it)."""
-
+    or dedup downstream (union blocking)."""
     def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g[key_col].to_numpy(), kind="stable")
-        keys = g[key_col].to_numpy()[order]
-        ids = g["doc_id"].to_numpy()[order]
-        out_a: list[int] = []
-        out_b: list[int] = []
-        out_k: list = []
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        for i, j in zip(starts, ends):
-            mem = sorted(set(ids[i:j].tolist()))
-            if len(mem) < 2 or len(mem) > max_members:
-                continue
-            for x in range(len(mem) - 1):
-                for y in range(x + 1, len(mem)):
-                    out_a.append(mem[x])
-                    out_b.append(mem[y])
-                    if keep_keys:
-                        out_k.append(keys[i])
-        out = {"a": pd.Series(out_a, dtype="int64"),
-               "b": pd.Series(out_b, dtype="int64")}
-        if keep_keys:
-            out["k"] = pd.Series(out_k, dtype="str")
-        return pd.DataFrame(out)
+        ids = g["doc_id"].to_numpy("int64")
+        ia, ib = block_pairs(g[key_col].to_numpy(), ids, max_members)
+        return pd.DataFrame({"a": ids[ia], "b": ids[ib]})
 
     return pairs_part
 
@@ -303,24 +279,16 @@ def metablocking_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
     banded = _cross_dump_band_rows(sf_dir, num_perm, bands) \
         .map_batches(lambda df: df[["doc_id", "band"]], batch_format="pandas")
 
-    pairs_part = _segment_pairs("band", max_members)
-
     def weight_part(g: pd.DataFrame) -> pd.DataFrame:
         wt = g.groupby(["a", "b"]).size().reset_index(name="w")
         h = wt.groupby("w").size().reset_index(name="n_pairs")
         return pd.DataFrame({"weight": h["w"].astype("int64"),
                              "n_pairs": h["n_pairs"].astype("int64")})
 
-    acc: dict[int, int] = {}
-    folded = partition_reduce(
-        partition_reduce(banded, "band", pairs_part), "a", weight_part)
-    for batch in folded.iter_batches(batch_format="pandas"):
-        for wv, n in zip(batch["weight"], batch["n_pairs"]):
-            acc[int(wv)] = acc.get(int(wv), 0) + int(n)
-    out = pd.DataFrame(sorted(acc.items()), columns=["weight", "n_pairs"])
-    out["weight"] = out["weight"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return fold_counts(partition_reduce(
+        partition_reduce(banded, "band",
+                         _block_pairs_part("band", max_members)),
+        "a", weight_part), "weight", "n_pairs")
 
 
 def _metablocking_sql(num_perm: int = 64, bands: int = 16,
@@ -431,7 +399,7 @@ def _multirule_tagged_pairs(sf_dir: str, num_perm: int, bands: int,
     band_pairs = partition_reduce(
         _cross_dump_band_rows(sf_dir, num_perm, bands)
         .map_batches(lambda df: df[["doc_id", "band"]], batch_format="pandas"),
-        "band", _segment_pairs("band", max_members),
+        "band", _block_pairs_part("band", max_members),
     ).map_batches(lambda df: df.assign(rule="band"), batch_format="pandas")
 
     _RULE = {"p": "prefix", "s": "size"}
@@ -450,12 +418,14 @@ def _multirule_tagged_pairs(sf_dir: str, num_perm: int, bands: int,
             ], ignore_index=True),
         })
 
-    base_pairs = _segment_pairs("k", max_members, keep_keys=True)
-
     def equality_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = base_pairs(g)
-        out["rule"] = out.pop("k").str.slice(0, 1).map(_RULE)
-        return out
+        ids = g["doc_id"].to_numpy("int64")
+        keys = g["k"].to_numpy()
+        ia, ib = block_pairs(keys, ids, max_members)
+        return pd.DataFrame({
+            "a": ids[ia], "b": ids[ib],
+            "rule": pd.Series(keys[ia], dtype=object).str.slice(0, 1)
+            .map(_RULE).to_numpy(dtype=object)})
 
     eq_pairs = partition_reduce(
         _read_docs(sf_dir, ["doc_id", "lang", "text", "n_chars"])
@@ -1088,16 +1058,8 @@ def cluster_density_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
         return pd.DataFrame({"density_bucket": vals.astype("int64"),
                              "n_clusters": cnts.astype("int64")})
 
-    acc: dict[int, int] = {}
-    for b in partition_reduce(tagged, "lbl", density_part) \
-            .iter_batches(batch_format="pandas"):
-        for dv, nv in zip(b["density_bucket"], b["n_clusters"]):
-            acc[int(dv)] = acc.get(int(dv), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()),
-                       columns=["density_bucket", "n_clusters"])
-    out["density_bucket"] = out["density_bucket"].astype("int64")
-    out["n_clusters"] = out["n_clusters"].astype("int64")
-    return out.reset_index(drop=True)
+    return fold_counts(partition_reduce(tagged, "lbl", density_part),
+                       "density_bucket", "n_clusters")
 
 
 def _cluster_density_sql(num_perm: int = 64, bands: int = 16,
@@ -1350,18 +1312,9 @@ def phonetic_blocking_census(sf_dir: str):
         return pd.DataFrame({"block_size": vc.index.astype("int64"),
                              "n_blocks": vc.to_numpy().astype("int64")})
 
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(
-            docs.map_batches(key_partials, batch_format="pandas"), "k",
-            histogram, partitions=_PH_PARTITIONS) \
-            .iter_batches(batch_format="pandas"):
-        for s, nb in zip(batch["block_size"], batch["n_blocks"]):
-            acc[int(s)] = acc.get(int(s), 0) + int(nb)
-    out = pd.DataFrame(sorted(acc.items()), columns=["block_size",
-                                                     "n_blocks"])
-    out["block_size"] = out["block_size"].astype("int64")
-    out["n_blocks"] = out["n_blocks"].astype("int64")
-    return out.reset_index(drop=True)
+    return fold_counts(partition_reduce(
+        docs.map_batches(key_partials, batch_format="pandas"), "k",
+        histogram, partitions=_PH_PARTITIONS), "block_size", "n_blocks")
 
 
 def _phonetic_sql() -> str:

@@ -374,18 +374,11 @@ def user_pagerank(sf_dir: str, iterations: int = 2, max_members: int = 200,
                          "bucket": bucket})
 
     def clique_edges(g: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
+        from kawa_ray.stages.pairs import block_pairs
 
-        out_a, out_b = [], []
-        for _, grp in g.groupby("bucket", sort=False):
-            ids = np.unique(grp["user_id"].to_numpy(np.int64))
-            if len(ids) < 2 or len(ids) > max_members:
-                continue
-            ai, bi = np.triu_indices(len(ids), k=1)
-            out_a += ids[ai].tolist()
-            out_b += ids[bi].tolist()
-        return pd.DataFrame({"a": pd.Series(out_a, dtype="int64"),
-                             "b": pd.Series(out_b, dtype="int64")})
+        ids = g["user_id"].to_numpy("int64")
+        ia, ib = block_pairs(g["bucket"].to_numpy(), ids, max_members)
+        return pd.DataFrame({"a": ids[ia], "b": ids[ib]})
 
     ub = (
         ds.map_batches(buckets, batch_format="pyarrow")

@@ -22,7 +22,6 @@ import ray.data as rd
 from ray.data.aggregate import Count, Sum
 
 from kawa_ray.functions.minhash import (
-    hamming64,
     lsh_band_keys,
     md5_low64,
     minhash_signature,
@@ -36,6 +35,7 @@ from kawa_ray.stages.distinct import (
     partition_join,
     partition_reduce,
 )
+from kawa_ray.stages.pairs import block_pairs
 
 _WS = re.compile(r"\s+")
 _PUNCT = re.compile(r"[.!?,;:]")
@@ -698,50 +698,27 @@ def _partitioned_band_pairs(banded, key_col: str, max_members: int,
                             sim_col: str | None = None,
                             max_hamming: int = 0) -> rd.Dataset:
     """Candidate pairs from banded rows via hash-partitioned grouping:
-    one ``partition_reduce`` on the key, then one numpy segment split
-    per partition (groupby(key).map_groups paid ~1.5ms dispatch per group — mostly
-    singleton bands, so dispatch dominated the stage).  With ``sim_col``
-    set, pairs within a segment are Hamming-gated (SimHash verify).
+    one ``partition_reduce`` on the key, then ``block_pairs`` per
+    partition (groupby(key).map_groups paid ~1.5ms dispatch per group —
+    mostly singleton bands, so dispatch dominated the stage).  With
+    ``sim_col`` set, pairs within a segment are Hamming-gated (SimHash
+    verify).
 
     All caps are PER BAND SEGMENT (a segment holds every row of one band
     key — the partition hash routes a whole key to one partition), so
     the emitted pair set is deterministic and independent of both P and
     the cluster size.  Returns a deduplicated Dataset (a, b)."""
-    import numpy as np
-
     def explode(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g[key_col].to_numpy(), kind="stable")
-        keys = g[key_col].to_numpy()[order]
-        ids = g["doc_id"].to_numpy()[order]
-        sims = g[sim_col].to_numpy()[order] if sim_col else None
-        out_a: list[int] = []
-        out_b: list[int] = []
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        for i, j in zip(starts, ends):
-            if sim_col is None:
-                mem = sorted(set(ids[i:j].tolist()))
-                if len(mem) < 2 or len(mem) > max_members:
-                    continue
-                for x in range(len(mem) - 1):
-                    for y in range(x + 1, len(mem)):
-                        out_a.append(mem[x])
-                        out_b.append(mem[y])
-            else:
-                rows = sorted({int(d): int(sv) for d, sv in
-                               zip(ids[i:j], sims[i:j])}.items())
-                if len(rows) < 2 or len(rows) > max_members:
-                    continue
-                for x in range(len(rows) - 1):
-                    for y in range(x + 1, len(rows)):
-                        ha = rows[x][1] + (1 << 63)
-                        hb = rows[y][1] + (1 << 63)
-                        if hamming64(ha, hb) <= max_hamming:
-                            aa, bb = sorted((rows[x][0], rows[y][0]))
-                            out_a.append(aa)
-                            out_b.append(bb)
-        return pd.DataFrame({"a": pd.Series(out_a, dtype="int64"),
-                             "b": pd.Series(out_b, dtype="int64")})
+        ids = g["doc_id"].to_numpy("int64")
+        ia, ib = block_pairs(g[key_col].to_numpy(), ids, max_members)
+        if sim_col is not None:
+            # Hamming distance = popcount of the XOR; the 2^63 offset of
+            # the int64 transport cancels in the XOR
+            sims = g[sim_col].to_numpy("int64")
+            bits = np.unpackbits((sims[ia] ^ sims[ib]).view(np.uint8))
+            ok = bits.reshape(-1, 64).sum(axis=1) <= max_hamming
+            ia, ib = ia[ok], ib[ok]
+        return pd.DataFrame({"a": ids[ia], "b": ids[ib]})
 
     return _distinct_pairs(
         partition_reduce(banded, key_col, explode, _PAIR_PARTITIONS))

@@ -1012,7 +1012,7 @@ def link_graph_census(sf_dir: str) -> pd.DataFrame:
     partials pre-aggregate before the single eid-hash exchange, the
     per-entity degree and the histogram fold inside the partition, and
     only (in_degree, count) partials reach the driver."""
-    from kawa_ray.stages.distinct import partition_reduce
+    from kawa_ray.stages.distinct import fold_counts, partition_reduce
 
     def partial(t: pa.Table) -> pd.DataFrame:
         html = pd.Series(
@@ -1032,18 +1032,9 @@ def link_graph_census(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"in_degree": hist.index.to_numpy("int64"),
                              "n_entities": hist.to_numpy("int64")})
 
-    acc: dict[int, int] = {}
-    for b in partition_reduce(
-            _read(sf_dir, ["html"]).map_batches(partial,
-                                                batch_format="pyarrow"),
-            "eid", degree_part).iter_batches(batch_format="pandas"):
-        for dv, nv in zip(b["in_degree"], b["n_entities"]):
-            acc[int(dv)] = acc.get(int(dv), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()),
-                       columns=["in_degree", "n_entities"])
-    out["in_degree"] = out["in_degree"].astype("int64")
-    out["n_entities"] = out["n_entities"].astype("int64")
-    return out.reset_index(drop=True)
+    return fold_counts(partition_reduce(
+        _read(sf_dir, ["html"]).map_batches(partial, batch_format="pyarrow"),
+        "eid", degree_part), "in_degree", "n_entities")
 
 
 def _link_graph_sql() -> str:
@@ -1085,7 +1076,7 @@ def anchor_alias_census(sf_dir: str) -> pd.DataFrame:
     pairs, distinct-alias counts and the histogram fold inside the
     partition, and only (n_aliases, count) partials reach the
     driver."""
-    from kawa_ray.stages.distinct import partition_reduce
+    from kawa_ray.stages.distinct import fold_counts, partition_reduce
 
     def partial(t: pa.Table) -> pd.DataFrame:
         html = pd.Series(
@@ -1110,18 +1101,9 @@ def anchor_alias_census(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_aliases": hist.index.to_numpy("int64"),
                              "n_entities": hist.to_numpy("int64")})
 
-    acc: dict[int, int] = {}
-    for b in partition_reduce(
-            _read(sf_dir, ["html"]).map_batches(partial,
-                                                batch_format="pyarrow"),
-            "eid", fold).iter_batches(batch_format="pandas"):
-        for av, nv in zip(b["n_aliases"], b["n_entities"]):
-            acc[int(av)] = acc.get(int(av), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()),
-                       columns=["n_aliases", "n_entities"])
-    out["n_aliases"] = out["n_aliases"].astype("int64")
-    out["n_entities"] = out["n_entities"].astype("int64")
-    return out.reset_index(drop=True)
+    return fold_counts(partition_reduce(
+        _read(sf_dir, ["html"]).map_batches(partial, batch_format="pyarrow"),
+        "eid", fold), "n_aliases", "n_entities")
 
 
 def _anchor_alias_sql() -> str:

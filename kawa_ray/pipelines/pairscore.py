@@ -1,47 +1,108 @@
-"""Batched edit-distance pair scoring — the cheap string-agreement
-channel of a Fellegi-Sunter style match scorer (the north star's
-"batched Jaro-Winkler/Levenshtein" scoring family; reference analogue:
-kawa scores synonym candidates by surface agreement before the
-embedding channel, ontology_builder.py's match counting).
+"""Blocked pair-scoring censuses — the string-agreement channels of a
+Fellegi-Sunter style match scorer (the north star's "batched
+Jaro-Winkler/Levenshtein" scoring family; reference analogue: kawa
+scores synonym candidates by surface agreement before the embedding
+channel, ontology_builder.py's match counting).
 
-``edit_distance_pairs_census`` blocks ``documents`` on the cheap
-equality key ``lang | n_chars // 8`` (the multirule ``size`` rule made
-finer), emits every within-block pair up to a block cap, and scores
-each pair with the Levenshtein distance of the two 12-char text
-prefixes.  Output: the distance histogram (distance, n_pairs) — the
-score-distribution signal a linkage calibration step consumes.
+Every census here blocks ``documents`` on the cheap equality key
+``lang | n_chars // 8`` (``_block_key``; the multirule ``size`` rule
+made finer), emits every within-block pair with the shared emitter
+``stages/pairs.py::block_pairs`` (blocks above ``_MAX_MEMBERS``
+members are dropped whole, replicated in each oracle — the standard
+stopword-block guard), scores the pairs, and returns a histogram —
+the score-distribution signal a linkage calibration step consumes.
+Each census keeps only its row builder and its scoring of the pairs.
 
 DuckDB's ``levenshtein()`` is BYTE-level over UTF-8 (measured:
 levenshtein('日本語テスト','日本語テキスト') = 3, the byte count of the
-inserted キ, not 1), so the kernel here DPs over UTF-8 bytes to keep
-the oracle exact; prefixes are sliced by CHARACTER first on both sides
-(Python slicing == DuckDB SUBSTRING semantics).
+inserted キ, not 1), so the kernels here work over UTF-8 bytes to keep
+the oracles exact; prefixes are sliced by CHARACTER first on both
+sides (Python slicing == DuckDB SUBSTRING semantics).
 
-Scale shape: ONE hash-partition exchange on the block key — pairs are
-generated AND scored inside each partition, only per-distance partial
-counts leave (histogram rows, never pairs); the DP is a numpy
-(pairs x bytes x bytes) sweep vectorised across the pair axis, not a
-per-pair Python loop.  Blocks above the cap are dropped whole
-(replicated in the oracle — the standard stopword-block guard)."""
+Scale shape (``_census``): ONE hash-partition exchange on the block
+key — pairs are generated AND scored inside each partition, only
+per-value partial counts leave (histogram rows, never pairs), folded on
+the driver by ``fold_counts``; the string kernels are numpy sweeps
+vectorised across the pair axis, not per-pair Python loops."""
 
 from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
 
 import ray.data as rd
 
-from kawa_ray.stages.distinct import partition_join, partition_reduce
+from kawa_ray.stages.distinct import fold_counts, partition_join, partition_reduce
+from kawa_ray.stages.pairs import block_pairs
 
 _WS = re.compile(r"\s+")
 
-_ED_BUCKET = 8       # n_chars // bucket joins lang in the block key
+_BUCKET = 8         # n_chars // bucket joins lang in the block key
+_MAX_MEMBERS = 40   # blocks above this many documents are dropped whole
+_PARTITIONS = 64
+
 _ED_PREFIX = 12      # chars scored per document
-_ED_MAX_MEMBERS = 40
-_ED_PARTITIONS = 64
+
+
+def _block_key(df: pd.DataFrame, bucket: int) -> np.ndarray:
+    """The censuses' equality block key ``lang | n_chars // bucket``
+    per row of ``df`` (a null lang keys as the empty string)."""
+    return (df["lang"].fillna("") + "|"
+            + (df["n_chars"].astype("int64") // bucket).astype(str)
+            ).to_numpy(dtype=object)
+
+
+def _prefix_rows(bucket: int, prefix_chars: int, extra: tuple = ()):
+    """Row builder for the prefix-scoring censuses: one (k, doc_id, p)
+    row per document, plus each ``extra`` column with nulls as ""."""
+    def rows(df: pd.DataFrame) -> pd.DataFrame:
+        if df.empty:
+            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in
+                                 [("k", "str"), ("doc_id", "int64"),
+                                  ("p", "str")]
+                                 + [(c, "str") for c in extra]})
+        return pd.DataFrame({
+            "k": _block_key(df, bucket),
+            "doc_id": df["doc_id"].to_numpy("int64"),
+            "p": df["text"].fillna("").str.slice(0, prefix_chars)
+            .to_numpy(dtype=object),
+            **{c: df[c].fillna("").to_numpy(dtype=object) for c in extra},
+        })
+    return rows
+
+
+def _census(rows: rd.Dataset, max_members: int, col: str,
+            score: Callable[[pd.DataFrame, np.ndarray, np.ndarray],
+                            np.ndarray]) -> pd.DataFrame:
+    """The shared census shape: rows (k, doc_id, ...) exchange on the
+    block key ``k``; per partition ``block_pairs`` emits the capped
+    within-block pairs and ``score(g, ia, ib)`` maps them to one int
+    histogram value per counted pair; the (col, n_pairs) partials fold
+    on the driver."""
+    def part(g: pd.DataFrame) -> pd.DataFrame:
+        ia, ib = block_pairs(g["k"].to_numpy(), g["doc_id"].to_numpy(),
+                             max_members)
+        vals = (np.asarray(score(g, ia, ib), dtype=np.int64) if len(ia)
+                else np.empty(0, np.int64))
+        v, n = np.unique(vals, return_counts=True)
+        return pd.DataFrame({col: v, "n_pairs": n.astype(np.int64)})
+
+    return fold_counts(partition_reduce(rows, "k", part, _PARTITIONS),
+                       col, "n_pairs")
+
+
+def _encoded(g: pd.DataFrame) -> list[bytes]:
+    return [s.encode("utf-8") for s in g["p"]]
+
+
+def _read(sf_dir: str, extra: tuple = ()) -> rd.Dataset:
+    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
+                           columns=["doc_id", "lang", "text", "n_chars",
+                                    *extra])
 
 
 def lev_bytes_batch(sa: list[bytes], sb: list[bytes]) -> np.ndarray:
@@ -82,66 +143,23 @@ def lev_bytes_batch(sa: list[bytes], sb: list[bytes]) -> np.ndarray:
     return res
 
 
-def edit_distance_pairs_census(sf_dir: str, bucket: int = _ED_BUCKET,
+def edit_distance_pairs_census(sf_dir: str, bucket: int = _BUCKET,
                                prefix_chars: int = _ED_PREFIX,
-                               max_members: int = _ED_MAX_MEMBERS):
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "text", "n_chars"])
+                               max_members: int = _MAX_MEMBERS):
+    """Levenshtein distance of the two 12-char text prefixes of every
+    blocked pair; output the (distance, n_pairs) histogram."""
+    def score(g, ia, ib):
+        enc = _encoded(g)
+        return lev_bytes_batch([enc[i] for i in ia], [enc[i] for i in ib])
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"k": pd.Series([], dtype="str"),
-                                 "doc_id": pd.Series([], dtype="int64"),
-                                 "p": pd.Series([], dtype="str")})
-        return pd.DataFrame({
-            "k": df["lang"].fillna("") + "|"
-            + (df["n_chars"].astype("int64") // bucket).astype(str),
-            "doc_id": df["doc_id"].astype("int64"),
-            "p": df["text"].fillna("").str.slice(0, prefix_chars),
-        })
-
-    def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g["k"].to_numpy(), kind="stable")
-        k = g["k"].to_numpy()[order]
-        did = g["doc_id"].to_numpy()[order]
-        ps = g["p"].to_numpy()[order]
-        pa_b: list[bytes] = []
-        pb_b: list[bytes] = []
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        for i, j in zip(starts, ends):
-            m = j - i
-            if m < 2 or m > max_members:
-                continue
-            mem = sorted(zip(did[i:j].tolist(), ps[i:j].tolist()))
-            for x in range(m - 1):
-                ebx = mem[x][1].encode("utf-8")
-                for y in range(x + 1, m):
-                    pa_b.append(ebx)
-                    pb_b.append(mem[y][1].encode("utf-8"))
-        d = lev_bytes_batch(pa_b, pb_b)
-        if d.size == 0:
-            return pd.DataFrame({"distance": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
-        vals, cnts = np.unique(d, return_counts=True)
-        return pd.DataFrame({"distance": vals.astype("int64"),
-                             "n_pairs": cnts.astype("int64")})
-
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(
-            docs.map_batches(keyed, batch_format="pandas"), "k", score_part,
-            partitions=_ED_PARTITIONS).iter_batches(batch_format="pandas"):
-        for dv, n in zip(batch["distance"], batch["n_pairs"]):
-            acc[int(dv)] = acc.get(int(dv), 0) + int(n)
-    out = pd.DataFrame(sorted(acc.items()), columns=["distance", "n_pairs"])
-    out["distance"] = out["distance"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return _census(_read(sf_dir).map_batches(
+        _prefix_rows(bucket, prefix_chars), batch_format="pandas"),
+        max_members, "distance", score)
 
 
-def _edit_distance_sql(bucket: int = _ED_BUCKET,
+def _edit_distance_sql(bucket: int = _BUCKET,
                        prefix_chars: int = _ED_PREFIX,
-                       max_members: int = _ED_MAX_MEMBERS) -> str:
+                       max_members: int = _MAX_MEMBERS) -> str:
     return f"""
 WITH keyed AS (
   SELECT doc_id,
@@ -161,18 +179,26 @@ FROM pairs GROUP BY d ORDER BY d
 EDIT_DISTANCE_SQL = _edit_distance_sql()
 
 
+
 # ---------------------------------------------------------------------------
 # TF-IDF cosine pair scoring
 # ---------------------------------------------------------------------------
 
-_TC_BUCKET = 8        # same cheap block key as the edit-distance census
-_TC_MAX_MEMBERS = 40
-_TC_PARTITIONS = 64
 _TC_SCALE = 1_000_000  # idf in integer micro-units
 
 
-def tfidf_cosine_pairs_census(sf_dir: str, bucket: int = _TC_BUCKET,
-                              max_members: int = _TC_MAX_MEMBERS):
+def _shared(ha: np.ndarray, hb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted, distinct ``ha`` and distinct ``hb``: the positions in
+    ``ha`` of the elements both hold, and the mask of ``hb`` that
+    marks them."""
+    idx = np.searchsorted(ha, hb)
+    idx[idx >= ha.size] = 0
+    hit = ha[idx] == hb
+    return idx[hit], hit
+
+
+def tfidf_cosine_pairs_census(sf_dir: str, bucket: int = _BUCKET,
+                              max_members: int = _MAX_MEMBERS):
     """TF-IDF cosine pair scoring — the weighted-token agreement channel
     (the Dedupe.io / canonical-ER default when no embedding model is
     wanted).  Token sets weighted by integer-micro idf
@@ -181,21 +207,21 @@ def tfidf_cosine_pairs_census(sf_dir: str, bucket: int = _TC_BUCKET,
     float64 from the exact integer dot/norms with one pinned operation
     order (num / (sqrt(na2) * sqrt(nb2))) so op and oracle produce the
     SAME double and the same ``floor(cos * 20)`` bucket.  Pairs come
-    from the edit-distance census's ``lang | n_chars // 8`` equality
-    blocks (capped); documents with zero tokens never enter a block
-    (mirrored in the oracle).  Output: (bucket, n_pairs) histogram.
+    from the shared equality blocks (capped); documents with zero
+    tokens never enter a block (mirrored in the oracle).  Output:
+    (bucket, n_pairs) histogram.
 
     Three hash-partition exchanges, none carrying text: df attaches on
     the token hash, per-doc norms + block keys attach on doc_id (one
     ``partition_join`` of token and attr rows), pairs score inside the
-    block-key partition and only histogram partials leave."""
+    block-key partition (one row per (doc, token); ``block_pairs``
+    counts each doc once) and only histogram partials leave."""
     import math
 
     from kawa_ray.functions.minhash import md5_low64_per_doc
 
-    P = _TC_PARTITIONS
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "text", "n_chars"])
+    P = _PARTITIONS
+    docs = _read(sf_dir)
     n_docs = int(docs.count())
 
     _ws = _WS
@@ -240,9 +266,8 @@ def tfidf_cosine_pairs_census(sf_dir: str, bucket: int = _TC_BUCKET,
 
     def attr_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "k": df["lang"].fillna("") + "|"
-            + (df["n_chars"].astype("int64") // bucket).astype(str),
+            "doc_id": df["doc_id"].to_numpy("int64"),
+            "k": _block_key(df, bucket),
         })
 
     def attach_key(toks: pd.DataFrame, keys: pd.DataFrame) -> pd.DataFrame:
@@ -255,65 +280,36 @@ def tfidf_cosine_pairs_census(sf_dir: str, bucket: int = _TC_BUCKET,
          (docs.map_batches(attr_rows, batch_format="pandas"), "doc_id")],
         attach_key, partitions=P)
 
-    def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        out: dict[int, int] = {}
-        for _, blk in g.groupby("k", sort=False):
-            per_doc = {did: grp for did, grp in blk.groupby("doc_id",
-                                                            sort=False)}
-            mem = sorted(per_doc)
-            if len(mem) < 2 or len(mem) > max_members:
-                continue
-            ths, ws, n2s = {}, {}, {}
-            for d in mem:
-                th = per_doc[d]["th"].to_numpy()
-                w = per_doc[d]["w"].to_numpy()
-                # the doc_id exchange reassembles a doc's rows in
-                # arbitrary concat order — searchsorted NEEDS sorted th
-                o = np.argsort(th)
-                ths[d], ws[d] = th[o], w[o]
-                n2s[d] = int(per_doc[d]["n2"].iloc[0])
-            for x in range(len(mem) - 1):
-                a = mem[x]
-                ta, wa = ths[a], ws[a]
-                for y in range(x + 1, len(mem)):
-                    b = mem[y]
-                    idx = np.searchsorted(ta, ths[b])
-                    idx[idx >= ta.size] = 0
-                    hit = ta[idx] == ths[b]
-                    num = int((wa[idx[hit]].astype(np.int64)
-                               * ws[b][hit].astype(np.int64)).sum())
-                    if n2s[a] == 0 or n2s[b] == 0:
-                        # a doc whose every token has idf 0 (appears in
-                        # ALL docs) has zero norm; 0/0 is NaN — pin the
-                        # convention to bucket 0, mirrored in the oracle
-                        bkt = 0
-                    else:
-                        cos = num / (np.sqrt(np.float64(n2s[a]))
-                                     * np.sqrt(np.float64(n2s[b])))
-                        bkt = int(np.floor(cos * 20.0))
-                    out[bkt] = out.get(bkt, 0) + 1
-        if not out:
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
-        items = sorted(out.items())
-        return pd.DataFrame({"bucket": pd.Series([k for k, _ in items],
-                                                 dtype="int64"),
-                             "n_pairs": pd.Series([v for _, v in items],
-                                                  dtype="int64")})
+    def score(g, ia, ib):
+        did = g["doc_id"].to_numpy()
+        # the doc_id exchange reassembles a doc's rows in arbitrary
+        # concat order — searchsorted NEEDS each doc's th sorted
+        o = np.lexsort((g["th"].to_numpy(), did))
+        th, w = g["th"].to_numpy()[o], g["w"].to_numpy()[o]
+        u, first, cnt = np.unique(did[o], return_index=True,
+                                  return_counts=True)
+        sa, sb = np.searchsorted(u, did[ia]), np.searchsorted(u, did[ib])
+        a0, a1 = first[sa], first[sa] + cnt[sa]
+        b0, b1 = first[sb], first[sb] + cnt[sb]
+        num = np.empty(len(ia), dtype=np.int64)
+        for r in range(len(ia)):
+            idx, hit = _shared(th[a0[r]:a1[r]], th[b0[r]:b1[r]])
+            num[r] = (w[a0[r] + idx] * w[b0[r]:b1[r]][hit]).sum()
+        n2 = g["n2"].to_numpy("int64")
+        na2, nb2 = n2[ia], n2[ib]
+        # a doc whose every token has idf 0 (appears in ALL docs) has
+        # zero norm; 0/0 is NaN — pin the convention to bucket 0,
+        # mirrored in the oracle
+        zero = (na2 == 0) | (nb2 == 0)
+        den = (np.sqrt(np.where(zero, 1, na2).astype(np.float64))
+               * np.sqrt(np.where(zero, 1, nb2).astype(np.float64)))
+        return np.where(zero, 0, np.floor(num / den * 20.0)).astype(np.int64)
 
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(keyed, "k", score_part, partitions=P) \
-            .iter_batches(batch_format="pandas"):
-        for bv, n in zip(batch["bucket"], batch["n_pairs"]):
-            acc[int(bv)] = acc.get(int(bv), 0) + int(n)
-    out = pd.DataFrame(sorted(acc.items()), columns=["bucket", "n_pairs"])
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return _census(keyed, max_members, "bucket", score)
 
 
-def _tfidf_cosine_sql(bucket: int = _TC_BUCKET,
-                      max_members: int = _TC_MAX_MEMBERS) -> str:
+def _tfidf_cosine_sql(bucket: int = _BUCKET,
+                      max_members: int = _MAX_MEMBERS) -> str:
     return f"""
 WITH toks AS (
   SELECT doc_id,
@@ -364,14 +360,12 @@ GROUP BY bucket ORDER BY bucket
 TFIDF_COSINE_SQL = _tfidf_cosine_sql()
 
 
+
 # ---------------------------------------------------------------------------
 # Jaro-Winkler pair scoring
 # ---------------------------------------------------------------------------
 
-_JW_BUCKET = 8
 _JW_PREFIX = 16      # chars scored per document
-_JW_MAX_MEMBERS = 40
-_JW_PARTITIONS = 64
 
 
 def jw_bytes_batch(sa: list[bytes], sb: list[bytes]) -> np.ndarray:
@@ -449,75 +443,28 @@ def jw_bytes_batch(sa: list[bytes], sb: list[bytes]) -> np.ndarray:
     return res
 
 
-def jaro_winkler_pairs_census(sf_dir: str, bucket: int = _JW_BUCKET,
+def jaro_winkler_pairs_census(sf_dir: str, bucket: int = _BUCKET,
                               prefix_chars: int = _JW_PREFIX,
-                              max_members: int = _JW_MAX_MEMBERS):
+                              max_members: int = _MAX_MEMBERS):
     """Jaro-Winkler pair scoring — the classic record-linkage name
     agreement channel (Winkler 1990, the Census Bureau scorer; every
     Fellegi-Sunter implementation ships it).  Same equality blocks and
     histogram shape as the edit-distance census, with similarity
     bucketed ``floor(sim * 20)``; the kernel is bit-exact vs DuckDB so
-    the bucket boundaries can never disagree.  Scale shape: ONE
-    hash-partition exchange on the block key, pairs generated and
-    scored inside the partition, only (bucket, count) partials leave."""
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "text", "n_chars"])
+    the bucket boundaries can never disagree."""
+    def score(g, ia, ib):
+        enc = _encoded(g)
+        sim = jw_bytes_batch([enc[i] for i in ia], [enc[i] for i in ib])
+        return np.floor(sim * 20.0)
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"k": pd.Series([], dtype="str"),
-                                 "doc_id": pd.Series([], dtype="int64"),
-                                 "p": pd.Series([], dtype="str")})
-        return pd.DataFrame({
-            "k": df["lang"].fillna("") + "|"
-            + (df["n_chars"].astype("int64") // bucket).astype(str),
-            "doc_id": df["doc_id"].astype("int64"),
-            "p": df["text"].fillna("").str.slice(0, prefix_chars),
-        })
-
-    def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g["k"].to_numpy(), kind="stable")
-        k = g["k"].to_numpy()[order]
-        did = g["doc_id"].to_numpy()[order]
-        ps = g["p"].to_numpy()[order]
-        pa_b: list[bytes] = []
-        pb_b: list[bytes] = []
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        for i, j in zip(starts, ends):
-            m = j - i
-            if m < 2 or m > max_members:
-                continue
-            mem = sorted(zip(did[i:j].tolist(), ps[i:j].tolist()))
-            for x in range(m - 1):
-                ebx = mem[x][1].encode("utf-8")
-                for y in range(x + 1, m):
-                    pa_b.append(ebx)
-                    pb_b.append(mem[y][1].encode("utf-8"))
-        sim = jw_bytes_batch(pa_b, pb_b)
-        if sim.size == 0:
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
-        vals, cnts = np.unique(
-            np.floor(sim * 20.0).astype(np.int64), return_counts=True)
-        return pd.DataFrame({"bucket": vals.astype("int64"),
-                             "n_pairs": cnts.astype("int64")})
-
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(
-            docs.map_batches(keyed, batch_format="pandas"), "k", score_part,
-            partitions=_JW_PARTITIONS).iter_batches(batch_format="pandas"):
-        for bv, nv in zip(batch["bucket"], batch["n_pairs"]):
-            acc[int(bv)] = acc.get(int(bv), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()), columns=["bucket", "n_pairs"])
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return _census(_read(sf_dir).map_batches(
+        _prefix_rows(bucket, prefix_chars), batch_format="pandas"),
+        max_members, "bucket", score)
 
 
-def _jaro_winkler_sql(bucket: int = _JW_BUCKET,
+def _jaro_winkler_sql(bucket: int = _BUCKET,
                       prefix_chars: int = _JW_PREFIX,
-                      max_members: int = _JW_MAX_MEMBERS) -> str:
+                      max_members: int = _MAX_MEMBERS) -> str:
     return f"""
 WITH keyed AS (
   SELECT doc_id,
@@ -537,14 +484,12 @@ FROM pairs GROUP BY 1 ORDER BY 1
 JARO_WINKLER_SQL = _jaro_winkler_sql()
 
 
+
 # ---------------------------------------------------------------------------
 # Fellegi-Sunter multi-channel match-decision census
 # ---------------------------------------------------------------------------
 
-_FS_BUCKET = 8
 _FS_PREFIX = 16
-_FS_MAX_MEMBERS = 40
-_FS_PARTITIONS = 64
 
 # channel thresholds + integer FS weights (log-likelihood-ratio style,
 # scaled to small ints; the EM-trained analogue lives in fs_linkage.py
@@ -560,9 +505,9 @@ _FS_MATCH_T = 20     # total weight >= -> 'match'
 _FS_POSSIBLE_T = 0   # total weight >= -> 'possible' (clerical band)
 
 
-def fs_decision_census(sf_dir: str, bucket: int = _FS_BUCKET,
+def fs_decision_census(sf_dir: str, bucket: int = _BUCKET,
                        prefix_chars: int = _FS_PREFIX,
-                       max_members: int = _FS_MAX_MEMBERS):
+                       max_members: int = _MAX_MEMBERS):
     """Fellegi-Sunter match-decision census — the END of the classic ER
     pipeline (Fellegi & Sunter 1969): block, compute a per-pair
     agreement VECTOR over independent channels, sum per-channel
@@ -574,75 +519,18 @@ def fs_decision_census(sf_dir: str, bucket: int = _FS_BUCKET,
     bit-exact vs DuckDB, so agreement bits — and therefore patterns,
     weights and decisions — can never disagree with the oracle.
     Output: (pattern, decision, n_pairs), pattern = the 3-bit agreement
-    vector.
-
-    Scale shape: identical to the other pair censuses — ONE
-    hash-partition exchange on the cheap block key, channels computed
-    batch-vectorised inside the partition, only (pattern, count)
-    partials leave."""
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "text", "n_chars",
-                                    "source"])
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"k": pd.Series([], dtype="str"),
-                                 "doc_id": pd.Series([], dtype="int64"),
-                                 "p": pd.Series([], dtype="str"),
-                                 "src": pd.Series([], dtype="str")})
-        return pd.DataFrame({
-            "k": df["lang"].fillna("") + "|"
-            + (df["n_chars"].astype("int64") // bucket).astype(str),
-            "doc_id": df["doc_id"].astype("int64"),
-            "p": df["text"].fillna("").str.slice(0, prefix_chars),
-            "src": df["source"].fillna(""),
-        })
-
+    vector; only (pattern, count) partials leave the partitions."""
     jw_thresh = np.float64(_FS_JW_T)
 
-    def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g["k"].to_numpy(), kind="stable")
-        k = g["k"].to_numpy()[order]
-        did = g["doc_id"].to_numpy()[order]
-        ps = g["p"].to_numpy()[order]
-        srcs = g["src"].to_numpy()[order]
-        pa_b: list[bytes] = []
-        pb_b: list[bytes] = []
-        sa: list[str] = []
-        sb: list[str] = []
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        for i, j in zip(starts, ends):
-            m = j - i
-            if m < 2 or m > max_members:
-                continue
-            mem = sorted(zip(did[i:j].tolist(), ps[i:j].tolist(),
-                             srcs[i:j].tolist()))
-            for x in range(m - 1):
-                ebx = mem[x][1].encode("utf-8")
-                for y in range(x + 1, m):
-                    pa_b.append(ebx)
-                    pb_b.append(mem[y][1].encode("utf-8"))
-                    sa.append(mem[x][2])
-                    sb.append(mem[y][2])
-        if not pa_b:
-            return pd.DataFrame({"pattern": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
+    def score(g, ia, ib):
+        enc = _encoded(g)
+        pa_b, pb_b = [enc[i] for i in ia], [enc[i] for i in ib]
+        src = g["source"].to_numpy(dtype=object)
         c_jw = jw_bytes_batch(pa_b, pb_b) >= jw_thresh
         c_lev = lev_bytes_batch(pa_b, pb_b) <= _FS_LEV_T
-        c_src = np.asarray(sa, dtype=object) == np.asarray(sb, dtype=object)
-        pattern = (4 * c_jw.astype(np.int64) + 2 * c_lev.astype(np.int64)
-                   + c_src.astype(np.int64))
-        vals, cnts = np.unique(pattern, return_counts=True)
-        return pd.DataFrame({"pattern": vals.astype("int64"),
-                             "n_pairs": cnts.astype("int64")})
-
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(
-            docs.map_batches(keyed, batch_format="pandas"), "k", score_part,
-            partitions=_FS_PARTITIONS).iter_batches(batch_format="pandas"):
-        for pv, nv in zip(batch["pattern"], batch["n_pairs"]):
-            acc[int(pv)] = acc.get(int(pv), 0) + int(nv)
+        c_src = src[ia] == src[ib]
+        return (4 * c_jw.astype(np.int64) + 2 * c_lev.astype(np.int64)
+                + c_src.astype(np.int64))
 
     def _decision(pattern: int) -> str:
         w = (_FS_W["jw"][0] if pattern & 4 else _FS_W["jw"][1]) \
@@ -654,19 +542,18 @@ def fs_decision_census(sf_dir: str, bucket: int = _FS_BUCKET,
             return "possible"
         return "nonmatch"
 
-    items = sorted(acc.items())
-    out = pd.DataFrame({
-        "pattern": pd.Series([p for p, _ in items], dtype="int64"),
-        "decision": pd.Series([_decision(p) for p, _ in items],
-                              dtype="str"),
-        "n_pairs": pd.Series([n for _, n in items], dtype="int64"),
-    })
-    return out.reset_index(drop=True)
+    out = _census(_read(sf_dir, ("source",)).map_batches(
+        _prefix_rows(bucket, prefix_chars, ("source",)), batch_format="pandas"),
+        max_members, "pattern", score)
+    out.insert(1, "decision", pd.Series([_decision(int(p))
+                                         for p in out["pattern"]],
+                                        dtype="str"))
+    return out
 
 
-def _fs_decision_sql(bucket: int = _FS_BUCKET,
+def _fs_decision_sql(bucket: int = _BUCKET,
                      prefix_chars: int = _FS_PREFIX,
-                     max_members: int = _FS_MAX_MEMBERS) -> str:
+                     max_members: int = _MAX_MEMBERS) -> str:
     jw_a, jw_d = _FS_W["jw"]
     lev_a, lev_d = _FS_W["lev"]
     src_a, src_d = _FS_W["src"]
@@ -704,20 +591,18 @@ FROM pat GROUP BY 1, 2 ORDER BY 1, 2
 FS_DECISION_SQL = _fs_decision_sql()
 
 
+
 # ---------------------------------------------------------------------------
 # Mutual-best (reciprocal top-1) one-to-one match census
 # ---------------------------------------------------------------------------
 
-_MB_BUCKET = 8
 _MB_PREFIX = 16
-_MB_MAX_MEMBERS = 40
-_MB_PARTITIONS = 64
 _MB_THRESHOLD = 0.6   # mutual pairs below this JW are not matches
 
 
-def mutual_best_match_census(sf_dir: str, bucket: int = _MB_BUCKET,
+def mutual_best_match_census(sf_dir: str, bucket: int = _BUCKET,
                              prefix_chars: int = _MB_PREFIX,
-                             max_members: int = _MB_MAX_MEMBERS,
+                             max_members: int = _MAX_MEMBERS,
                              threshold: float = _MB_THRESHOLD):
     """Reciprocal-best one-to-one matching — the classic record-linkage
     assignment step after pair scoring (the greedy 1:1 constraint of
@@ -732,61 +617,21 @@ def mutual_best_match_census(sf_dir: str, bucket: int = _MB_BUCKET,
     bucket histogram over surviving mutual pairs.
 
     Scale shape: each document lives in exactly ONE equality block, so
-    the per-record argmax is block-local — the whole operator is ONE
-    hash-partition exchange on the block key, ordered pairs generated
-    and scored batch-vectorised inside the partition (both directions,
-    mirroring the oracle's asymmetric scan), only (bucket, count)
-    partials leave.  Reference analogue: kawa keeps one synonym target
-    per surface in the word2ner fix cascade (word2ner_fix.py's
-    best-candidate selection); here the decision is the symmetric
-    reciprocal-best rule of the ER literature."""
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "text", "n_chars"])
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"k": pd.Series([], dtype="str"),
-                                 "doc_id": pd.Series([], dtype="int64"),
-                                 "p": pd.Series([], dtype="str")})
-        return pd.DataFrame({
-            "k": df["lang"].fillna("") + "|"
-            + (df["n_chars"].astype("int64") // bucket).astype(str),
-            "doc_id": df["doc_id"].astype("int64"),
-            "p": df["text"].fillna("").str.slice(0, prefix_chars),
-        })
-
+    the per-record argmax is block-local — the whole operator is the
+    shared one-exchange census; each emitted pair is scored in both
+    directions (mirroring the oracle's asymmetric scan).  Reference
+    analogue: kawa keeps one synonym target per surface in the
+    word2ner fix cascade (word2ner_fix.py's best-candidate selection);
+    here the decision is the symmetric reciprocal-best rule of the ER
+    literature."""
     thr = np.float64(threshold)
 
-    def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g["k"].to_numpy(), kind="stable")
-        k = g["k"].to_numpy()[order]
-        did = g["doc_id"].to_numpy()[order]
-        ps = g["p"].to_numpy()[order]
-        aid_l: list[np.ndarray] = []
-        bid_l: list[np.ndarray] = []
-        pa_b: list[bytes] = []
-        pb_b: list[bytes] = []
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        for i, j in zip(starts, ends):
-            m = j - i
-            if m < 2 or m > max_members:
-                continue
-            mem = sorted(zip(did[i:j].tolist(), ps[i:j].tolist()))
-            ids = np.asarray([d for d, _ in mem], dtype=np.int64)
-            enc = [p.encode("utf-8") for _, p in mem]
-            # ordered pairs (x != y), mirroring the oracle's scan
-            ia, ib = np.nonzero(~np.eye(m, dtype=bool))
-            aid_l.append(ids[ia])
-            bid_l.append(ids[ib])
-            pa_b.extend(enc[x] for x in ia)
-            pb_b.extend(enc[y] for y in ib)
-        if not pa_b:
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
-        aid = np.concatenate(aid_l)
-        bid = np.concatenate(bid_l)
-        s = jw_bytes_batch(pa_b, pb_b)
+    def score(g, ia, ib):
+        enc = _encoded(g)
+        did = g["doc_id"].to_numpy("int64")
+        x, y = np.concatenate((ia, ib)), np.concatenate((ib, ia))
+        aid, bid = did[x], did[y]
+        s = jw_bytes_batch([enc[i] for i in x], [enc[i] for i in y])
         # per-record best: score DESC, counterpart doc_id ASC (doc_ids
         # are globally unique and blocks never share a doc, so the
         # argmax groups by aid alone across the whole partition)
@@ -794,34 +639,20 @@ def mutual_best_match_census(sf_dir: str, bucket: int = _MB_BUCKET,
         a_sorted = aid[o]
         first = np.concatenate(([True], a_sorted[1:] != a_sorted[:-1]))
         best = pd.Series(bid[o][first], index=a_sorted[first])
-        sel = aid < bid
-        a_s, b_s, s_s = aid[sel], bid[sel], s[sel]
+        a_s, b_s, s_s = aid[:len(ia)], bid[:len(ia)], s[:len(ia)]
         ok = ((best.reindex(a_s).to_numpy() == b_s)
               & (best.reindex(b_s).to_numpy() == a_s)
               & (s_s >= thr))
-        if not ok.any():
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
-        vals, cnts = np.unique(
-            np.floor(s_s[ok] * 20.0).astype(np.int64), return_counts=True)
-        return pd.DataFrame({"bucket": vals.astype("int64"),
-                             "n_pairs": cnts.astype("int64")})
+        return np.floor(s_s[ok] * 20.0)
 
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(
-            docs.map_batches(keyed, batch_format="pandas"), "k", score_part,
-            partitions=_MB_PARTITIONS).iter_batches(batch_format="pandas"):
-        for bv, nv in zip(batch["bucket"], batch["n_pairs"]):
-            acc[int(bv)] = acc.get(int(bv), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()), columns=["bucket", "n_pairs"])
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return _census(_read(sf_dir).map_batches(
+        _prefix_rows(bucket, prefix_chars), batch_format="pandas"),
+        max_members, "bucket", score)
 
 
-def _mutual_best_sql(bucket: int = _MB_BUCKET,
+def _mutual_best_sql(bucket: int = _BUCKET,
                      prefix_chars: int = _MB_PREFIX,
-                     max_members: int = _MB_MAX_MEMBERS,
+                     max_members: int = _MAX_MEMBERS,
                      threshold: float = _MB_THRESHOLD) -> str:
     return f"""
 WITH keyed AS (
@@ -852,20 +683,18 @@ FROM mut GROUP BY 1 ORDER BY 1
 MUTUAL_BEST_SQL = _mutual_best_sql()
 
 
+
 # ---------------------------------------------------------------------------
 # Monge-Elkan hybrid token similarity census
 # ---------------------------------------------------------------------------
 
-_ME_BUCKET = 8
 _ME_TOKENS = 5        # first K tokens per document enter the score
-_ME_MAX_MEMBERS = 40
-_ME_PARTITIONS = 64
 _ME_SCALE = 1_000_000  # per-token JW in integer micro-units
 
 
-def monge_elkan_pairs_census(sf_dir: str, bucket: int = _ME_BUCKET,
+def monge_elkan_pairs_census(sf_dir: str, bucket: int = _BUCKET,
                              k_tokens: int = _ME_TOKENS,
-                             max_members: int = _ME_MAX_MEMBERS):
+                             max_members: int = _MAX_MEMBERS):
     """Monge-Elkan hybrid similarity (Monge & Elkan 1996) — the classic
     token-level/character-level hybrid for multi-word names:
     ``ME(a,b) = mean_i max_j JW(a_i, b_j)`` over the first K whitespace
@@ -879,103 +708,59 @@ def monge_elkan_pairs_census(sf_dir: str, bucket: int = _ME_BUCKET,
     Documents with zero tokens never enter a block (the tfidf-census
     convention).  Output: (bucket, n_pairs) histogram.
 
-    Scale shape: ONE hash-partition exchange on the cheap equality
-    block key; the <= K*K token-pair fan-out per pair is generated and
-    scored batch-vectorised inside the partition (maximum.reduceat on
-    the (pair, i) run boundaries), only histogram partials leave."""
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "text", "n_chars"])
-
+    Scale shape: the shared one-exchange census; the <= K*K token-pair
+    fan-out per pair is built with repeat/arange index arithmetic and
+    scored batch-vectorised (maximum.reduceat on the (pair, i) run
+    boundaries), only histogram partials leave."""
     _ws = _WS
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        out_k, out_id, out_t = [], [], []
-        for did, lang, text, nch in zip(
-                df["doc_id"], df["lang"], df["text"].fillna(""),
-                df["n_chars"]):
-            toks = (_ws.split(text.lower().strip())[:k_tokens]
-                    if text.strip() else [])
-            if not toks:
-                continue
-            out_k.append(f"{lang if lang is not None else ''}|"
-                         f"{int(nch) // bucket}")
-            out_id.append(int(did))
-            out_t.append("\x1f".join(toks))
+    def rows(df: pd.DataFrame) -> pd.DataFrame:
+        toks = [_ws.split(t.lower().strip())[:k_tokens] if t.strip() else []
+                for t in df["text"].fillna("")]
+        keep = np.fromiter((bool(t) for t in toks), dtype=bool,
+                           count=len(toks))
+        if not keep.any():
+            return pd.DataFrame({"k": pd.Series([], dtype="str"),
+                                 "doc_id": pd.Series([], dtype="int64"),
+                                 "t": pd.Series([], dtype="str")})
         return pd.DataFrame({
-            "k": pd.Series(out_k, dtype="str"),
-            "doc_id": pd.Series(out_id, dtype="int64"),
-            "t": pd.Series(out_t, dtype="str"),
+            "k": _block_key(df[keep], bucket),
+            "doc_id": df["doc_id"].to_numpy("int64")[keep],
+            "t": ["\x1f".join(t) for t, k in zip(toks, keep) if k],
         })
 
-    def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g["k"].to_numpy(), kind="stable")
-        k = g["k"].to_numpy()[order]
-        did = g["doc_id"].to_numpy()[order]
-        ts = g["t"].to_numpy()[order]
-        pa_b: list[bytes] = []
-        pb_b: list[bytes] = []
-        pid_l: list[int] = []
-        ii_l: list[int] = []
-        na_l: list[int] = []      # n_tokens_a per pair ordinal
-        npair = 0
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        for i, j in zip(starts, ends):
-            m = j - i
-            if m < 2 or m > max_members:
-                continue
-            mem = sorted(zip(did[i:j].tolist(), ts[i:j].tolist()))
-            toks = [[w.encode("utf-8") for w in t.split("\x1f")]
-                    for _, t in mem]
-            for x in range(m - 1):
-                ta = toks[x]
-                for y in range(x + 1, m):
-                    tb = toks[y]
-                    for ii, wa in enumerate(ta):
-                        for wb in tb:
-                            pa_b.append(wa)
-                            pb_b.append(wb)
-                            pid_l.append(npair)
-                            ii_l.append(ii)
-                    na_l.append(len(ta))
-                    npair += 1
-        if not pa_b:
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
-        w = np.floor(jw_bytes_batch(pa_b, pb_b)
-                     * float(_ME_SCALE)).astype(np.int64)
-        pid = np.asarray(pid_l, dtype=np.int64)
-        ii = np.asarray(ii_l, dtype=np.int64)
-        # rows are emitted sorted by (pid, ii, j) — reduce on run starts
-        key_change = np.concatenate(
-            ([True], (pid[1:] != pid[:-1]) | (ii[1:] != ii[:-1])))
-        run_starts = np.flatnonzero(key_change)
+    def score(g, ia, ib):
+        toks = [[w.encode("utf-8") for w in t.split("\x1f")]
+                for t in g["t"]]
+        flat = [w for ts in toks for w in ts]
+        nt = np.fromiter((len(ts) for ts in toks), dtype=np.int64,
+                         count=len(toks))
+        off = np.cumsum(nt) - nt
+        na, nb = nt[ia], nt[ib]
+        # rows sorted by (pair, i, j): pair p fans out na[p] * nb[p]
+        # token pairs, i = r // nb, j = r % nb within it
+        cnt = na * nb
+        pid = np.repeat(np.arange(len(ia)), cnt)
+        r = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        ii = r // nb[pid]
+        w = np.floor(jw_bytes_batch(
+            [flat[i] for i in off[ia][pid] + ii],
+            [flat[j] for j in off[ib][pid] + r % nb[pid]])
+            * float(_ME_SCALE)).astype(np.int64)
+        run_starts = np.flatnonzero(np.concatenate(
+            ([True], (pid[1:] != pid[:-1]) | (ii[1:] != ii[:-1]))))
         mx = np.maximum.reduceat(w, run_starts)
-        mx_pid = pid[run_starts]
-        pair_starts = np.flatnonzero(
-            np.concatenate(([True], mx_pid[1:] != mx_pid[:-1])))
-        sums = np.add.reduceat(mx, pair_starts)
-        na = np.asarray(na_l, dtype=np.int64)[mx_pid[pair_starts]]
-        buckets = (sums * 20) // (_ME_SCALE * na)
-        vals, cnts = np.unique(buckets, return_counts=True)
-        return pd.DataFrame({"bucket": vals.astype("int64"),
-                             "n_pairs": cnts.astype("int64")})
+        sums = np.add.reduceat(mx, np.flatnonzero(np.concatenate(
+            ([True], np.diff(pid[run_starts]) != 0))))
+        return (sums * 20) // (_ME_SCALE * na)
 
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(
-            docs.map_batches(keyed, batch_format="pandas"), "k", score_part,
-            partitions=_ME_PARTITIONS).iter_batches(batch_format="pandas"):
-        for bv, nv in zip(batch["bucket"], batch["n_pairs"]):
-            acc[int(bv)] = acc.get(int(bv), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()), columns=["bucket", "n_pairs"])
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return _census(_read(sf_dir).map_batches(rows, batch_format="pandas"),
+                   max_members, "bucket", score)
 
 
-def _monge_elkan_sql(bucket: int = _ME_BUCKET,
+def _monge_elkan_sql(bucket: int = _BUCKET,
                      k_tokens: int = _ME_TOKENS,
-                     max_members: int = _ME_MAX_MEMBERS) -> str:
+                     max_members: int = _MAX_MEMBERS) -> str:
     return f"""
 WITH toks AS (
   SELECT doc_id, t FROM (
@@ -1015,17 +800,14 @@ FROM me GROUP BY 1 ORDER BY 1
 MONGE_ELKAN_SQL = _monge_elkan_sql()
 
 
+
 # ---------------------------------------------------------------------------
 # Containment / overlap-coefficient pair census
 # ---------------------------------------------------------------------------
 
-_CT_BUCKET = 8
-_CT_MAX_MEMBERS = 40
-_CT_PARTITIONS = 64
 
-
-def containment_pairs_census(sf_dir: str, bucket: int = _CT_BUCKET,
-                             max_members: int = _CT_MAX_MEMBERS):
+def containment_pairs_census(sf_dir: str, bucket: int = _BUCKET,
+                             max_members: int = _MAX_MEMBERS):
     """Token-set containment census — the near-containment signal a
     Jaccard dedup misses: a short doc fully quoted inside a long one
     scores low Jaccard but containment 1.0 (the boilerplate/quote
@@ -1039,86 +821,49 @@ def containment_pairs_census(sf_dir: str, bucket: int = _CT_BUCKET,
 
     Scale shape: tokenization and hashing are doc-local (NO df
     exchange — unlike tfidf, containment needs no global weights), so
-    the operator is ONE hash-partition exchange on the block key with
-    each doc carrying its sorted hash array (the setsim gram-carry
-    idiom; hashes, never text); intersections are sorted-array
-    searchsorted inside the partition and only histogram partials
-    leave.  Blocks above the cap drop whole, mirrored in the oracle."""
+    the operator is the shared one-exchange census with each doc
+    carrying its sorted hash array (the setsim gram-carry idiom;
+    hashes, never text); intersections are sorted-array searchsorted
+    inside the partition and only histogram partials leave."""
     from kawa_ray.functions.minhash import md5_low64_per_doc
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "text", "n_chars"])
 
     _ws = _WS
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+    def rows(df: pd.DataFrame) -> pd.DataFrame:
         def per_doc():
             for text in df["text"].fillna(""):
                 yield (_ws.split(text.lower().strip())
                        if text.strip() else [])
 
-        out_k, out_id, out_h = [], [], []
-        for did, lang, nch, hs in zip(df["doc_id"], df["lang"],
-                                      df["n_chars"],
-                                      md5_low64_per_doc(per_doc())):
-            uh = np.unique(hs)
-            if uh.size == 0:
-                continue
-            out_k.append(f"{lang if lang is not None else ''}|"
-                         f"{int(nch) // bucket}")
-            out_id.append(int(did))
-            out_h.append(uh)
+        hs = [np.unique(h) for h in md5_low64_per_doc(per_doc())]
+        keep = np.fromiter((h.size > 0 for h in hs), dtype=bool,
+                           count=len(hs))
+        if not keep.any():
+            return pd.DataFrame({"k": pd.Series([], dtype="str"),
+                                 "doc_id": pd.Series([], dtype="int64"),
+                                 "h": pd.Series([], dtype="object")})
         return pd.DataFrame({
-            "k": pd.Series(out_k, dtype="str"),
-            "doc_id": pd.Series(out_id, dtype="int64"),
-            "h": pd.Series(out_h, dtype="object"),
+            "k": _block_key(df[keep], bucket),
+            "doc_id": df["doc_id"].to_numpy("int64")[keep],
+            "h": pd.Series([h for h, k in zip(hs, keep) if k],
+                           dtype="object"),
         })
 
-    def score_part(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g["k"].to_numpy(), kind="stable")
-        k = g["k"].to_numpy()[order]
-        did = g["doc_id"].to_numpy()[order]
-        hs = g["h"].to_numpy()[order]
-        out: dict[int, int] = {}
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        for i, j in zip(starts, ends):
-            m = j - i
-            if m < 2 or m > max_members:
-                continue
-            mem = sorted(zip(did[i:j].tolist(), hs[i:j]))
-            for x in range(m - 1):
-                ha = np.asarray(mem[x][1])
-                na = ha.size
-                for y in range(x + 1, m):
-                    hb = np.asarray(mem[y][1])
-                    idx = np.searchsorted(ha, hb)
-                    idx[idx >= na] = 0
-                    inter = int((ha[idx] == hb).sum())
-                    bkt = (inter * 20) // min(na, hb.size)
-                    out[bkt] = out.get(bkt, 0) + 1
-        if not out:
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "n_pairs": pd.Series([], dtype="int64")})
-        items = sorted(out.items())
-        return pd.DataFrame({
-            "bucket": pd.Series([b for b, _ in items], dtype="int64"),
-            "n_pairs": pd.Series([n for _, n in items], dtype="int64")})
+    def score(g, ia, ib):
+        hs = [np.asarray(h) for h in g["h"]]
+        inter = np.fromiter((_shared(hs[x], hs[y])[1].sum()
+                             for x, y in zip(ia, ib)),
+                            dtype=np.int64, count=len(ia))
+        size = np.fromiter((h.size for h in hs), dtype=np.int64,
+                           count=len(hs))
+        return (inter * 20) // np.minimum(size[ia], size[ib])
 
-    acc: dict[int, int] = {}
-    for batch in partition_reduce(
-            docs.map_batches(keyed, batch_format="pandas"), "k", score_part,
-            partitions=_CT_PARTITIONS).iter_batches(batch_format="pandas"):
-        for bv, nv in zip(batch["bucket"], batch["n_pairs"]):
-            acc[int(bv)] = acc.get(int(bv), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()), columns=["bucket", "n_pairs"])
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return _census(_read(sf_dir).map_batches(rows, batch_format="pandas"),
+                   max_members, "bucket", score)
 
 
-def _containment_sql(bucket: int = _CT_BUCKET,
-                     max_members: int = _CT_MAX_MEMBERS) -> str:
+def _containment_sql(bucket: int = _BUCKET,
+                     max_members: int = _MAX_MEMBERS) -> str:
     return f"""
 WITH toks AS (
   SELECT doc_id,

@@ -47,6 +47,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from kawa_ray.stages.distinct import partition_reduce
+from kawa_ray.stages.pairs import block_pairs
 
 _WS = re.compile(r"\s+")
 
@@ -125,28 +126,14 @@ def _prefix_rows(g: pd.DataFrame) -> pd.DataFrame:
 
 
 def _segment_cand(g: pd.DataFrame) -> pd.DataFrame:
-    order = np.argsort(g["th"].to_numpy(), kind="stable")
-    th = g["th"].to_numpy()[order]
-    did = g["doc_id"].to_numpy()[order]
-    ls = g["L"].to_numpy()[order]
-    out_a: list[int] = []
-    out_b: list[int] = []
-    starts = np.flatnonzero(np.concatenate(([True], th[1:] != th[:-1])))
-    ends = np.concatenate((starts[1:], [len(th)]))
-    for i, j in zip(starts, ends):
-        m = j - i
-        if m < 2 or m > _SS_MAX_MEMBERS:
-            continue
-        mem = sorted(zip(did[i:j].tolist(), ls[i:j].tolist()))
-        for x in range(m - 1):
-            a, la = mem[x]
-            for y in range(x + 1, m):
-                b, lb = mem[y]
-                if min(la, lb) * _SS_T_DEN >= max(la, lb) * _SS_T_NUM:
-                    out_a.append(a)
-                    out_b.append(b)
-    return pd.DataFrame({"a": pd.Series(out_a, dtype="int64"),
-                         "b": pd.Series(out_b, dtype="int64")})
+    # each prefix segment (one th) is a block; the length filter keeps
+    # pairs whose set sizes can still reach the Jaccard threshold
+    did = g["doc_id"].to_numpy("int64")
+    ls = g["L"].to_numpy("int64")
+    ia, ib = block_pairs(g["th"].to_numpy(), did, _SS_MAX_MEMBERS)
+    la, lb = ls[ia], ls[ib]
+    ok = np.minimum(la, lb) * _SS_T_DEN >= np.maximum(la, lb) * _SS_T_NUM
+    return pd.DataFrame({"a": did[ia[ok]], "b": did[ib[ok]]})
 
 
 def setsim_join_census(sf_dir: str):

@@ -20,7 +20,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from kawa_ray.stages.distinct import partition_join, partition_reduce
+from kawa_ray.stages.distinct import fold_counts, partition_join, partition_reduce
 
 N_QUERIES = 3
 TOP_K = 10
@@ -1118,17 +1118,9 @@ def margin_bitext_census(sf_dir: str, k: int = _BM_K) -> pd.DataFrame:
                          "n_pairs": pa.array([n for _, n in items],
                                              pa.int64())})
 
-    acc: dict[int, int] = {}
-    for b in src.map_batches(bucket_partial, batch_format="pyarrow",
-                             batch_size=2048) \
-            .iter_batches(batch_format="pandas"):
-        for bv, nv in zip(b["margin_bucket"], b["n_pairs"]):
-            acc[int(bv)] = acc.get(int(bv), 0) + int(nv)
-    out = pd.DataFrame(sorted(acc.items()),
-                       columns=["margin_bucket", "n_pairs"])
-    out["margin_bucket"] = out["margin_bucket"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    return fold_counts(src.map_batches(bucket_partial, batch_format="pyarrow",
+                                       batch_size=2048),
+                       "margin_bucket", "n_pairs")
 
 
 def _margin_bitext_sql(k: int = _BM_K) -> str:

@@ -23,6 +23,11 @@ Join rule: a keyed join of two or more Datasets is one
 no caller pads sides to one schema or marks them with a sentinel, a
 flag or a None payload, and no caller unions streams into
 ``partition_reduce`` (tests/test_distinct_helpers.py scans for it).
+
+Fold rule: a histogram whose per-partition partial rows reach the
+driver is summed by ``fold_counts`` and by no hand-written dict loop
+(tests/test_distinct_helpers.py scans for the ``acc.get(int(k), 0) +``
+shape).
 """
 
 from __future__ import annotations
@@ -193,3 +198,18 @@ def partition_distinct(ds: rd.Dataset, cols: list[str], key_col: str,
         return g if then is None else then(g)
 
     return partition_reduce(ds, key_col, dedup, partitions)
+
+
+def fold_counts(ds: rd.Dataset, key: str, count: str) -> pd.DataFrame:
+    """Sum partial histogram rows ``(key, count)`` on the driver: one
+    row per distinct key, sorted by key, both columns int64, RangeIndex.
+    No rows (or an empty Dataset) gives the same typed frame, empty.
+    Partials are histogram-sized, never data-sized."""
+    parts = [pd.DataFrame({key: b[key].to_numpy("int64"),
+                           count: b[count].to_numpy("int64")})
+             for b in ds.iter_batches(batch_format="pandas") if len(b)]
+    if not parts:
+        return pd.DataFrame({key: pd.Series([], dtype="int64"),
+                             count: pd.Series([], dtype="int64")})
+    return (pd.concat(parts, ignore_index=True)
+            .groupby(key, sort=True)[count].sum().reset_index())

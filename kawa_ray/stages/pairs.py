@@ -6,11 +6,56 @@ canonical.  Blocks larger than ``max_pairs_per_block`` after the cap
 produce a deterministic prefix of the pair list (members sorted by
 descending mention count, then lexicographically) — the cap is part of
 the pipeline spec and the eval oracle honours the same keys.
+
+``block_pairs`` is the package's one within-block pair emitter for
+equality blocks with a whole-block member cap (the censuses, dedup
+banding, setsim's prefix segments, the PageRank co-occurrence cliques).
+The flagship's ``explode_partition`` above is a different contract: it
+truncates a block's pair list at ``max_pairs_per_block`` instead of
+dropping the block.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+
+
+def block_pairs(keys, ids, max_members: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every within-block pair of one partition, as row indices.
+
+    ``keys`` and ``ids`` are parallel arrays (one row per block
+    membership; ids are numeric and any key dtype that pandas can
+    factorize works).  Returns ``(ia, ib)`` covering each pair of
+    distinct ids that share a key exactly once, with
+    ``ids[ia] < ids[ib]``.  A repeated ``(key, id)`` row counts once
+    (its first row represents it).  A block with fewer than 2 or more
+    than ``max_members`` distinct ids is dropped whole: this is the
+    cap every blocked census and its SQL oracle share.  A pair that
+    shares two keys is emitted once per key; callers that need distinct
+    pairs dedup downstream.
+
+    Vectorised: one sort, then one ``np.triu_indices(m, 1)`` broadcast
+    per distinct block size, so the cost is per row and per size, never
+    per pair in Python.  Pair order is by block size, then block, then
+    the triu order; no caller depends on it."""
+    ids = np.asarray(ids)
+    codes = pd.factorize(np.asarray(keys))[0]
+    order = np.lexsort((ids, codes))
+    k, d = codes[order], ids[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = (k[1:] != k[:-1]) | (d[1:] != d[:-1])
+    rows, k = order[new], k[new]
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    sizes = np.diff(np.append(starts, len(k)))
+    keep = (sizes >= 2) & (sizes <= max_members)
+    out_a, out_b = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for m in np.unique(sizes[keep]):
+        s = starts[keep & (sizes == m)]
+        iu, ju = np.triu_indices(int(m), 1)
+        out_a.append(rows[(s[:, None] + iu).ravel()])
+        out_b.append(rows[(s[:, None] + ju).ravel()])
+    return np.concatenate(out_a), np.concatenate(out_b)
 
 
 def pairs_for_block(members: list[str], max_pairs: int) -> list[tuple[str, str]]:

@@ -410,3 +410,117 @@ def test_no_union_join_outside_partition_join():
             continue
         bad += _union_join_sites(path.read_text(), str(path))
     assert not bad, "union joins outside partition_join:\n" + "\n".join(bad)
+
+
+def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
+    """Hand-written pair emitters and driver histogram folds in one
+    module: a ``for y in range(x + 1, ...)`` loop that is a direct body
+    statement of a ``for x ...`` loop (a within-block pair loop, the
+    job of ``stages/pairs.block_pairs``), and an
+    ``acc.get(int(...), 0) + ...`` fold (the job of
+    ``stages/distinct.fold_counts``)."""
+    import ast
+
+    def loop_var(node):
+        return node.target.id if isinstance(node.target, ast.Name) else None
+
+    def starts_after(call, x) -> bool:
+        a0 = call.args[0] if call.args else None
+        return (isinstance(a0, ast.BinOp) and isinstance(a0.op, ast.Add)
+                and isinstance(a0.left, ast.Name) and a0.left.id == x
+                and isinstance(a0.right, ast.Constant)
+                and a0.right.value == 1)
+
+    bad = []
+    for node in ast.walk(ast.parse(src, name)):
+        if isinstance(node, ast.For) and loop_var(node):
+            for st in node.body:
+                if (isinstance(st, ast.For)
+                        and isinstance(st.iter, ast.Call)
+                        and isinstance(st.iter.func, ast.Name)
+                        and st.iter.func.id == "range"
+                        and starts_after(st.iter, loop_var(node))):
+                    bad.append(f"{name}:{st.lineno}: pair loop")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            f = node.left
+            if (isinstance(f, ast.Call) and isinstance(f.func, ast.Attribute)
+                    and f.func.attr == "get"
+                    and isinstance(f.func.value, ast.Name)
+                    and f.func.value.id == "acc" and len(f.args) == 2
+                    and isinstance(f.args[0], ast.Call)
+                    and isinstance(f.args[0].func, ast.Name)
+                    and f.args[0].func.id == "int"
+                    and isinstance(f.args[1], ast.Constant)
+                    and f.args[1].value == 0):
+                bad.append(f"{name}:{node.lineno}: histogram fold")
+    return bad
+
+
+def test_pair_loop_scanner_shapes():
+    """The scanner flags the nested pair loop and the int-keyed dict
+    fold, and leaves span loops and offset ranges alone."""
+    flagged = '''
+def emit(mem, batch):
+    for x in range(len(mem) - 1):
+        a = mem[x]
+        for y in range(x + 1, len(mem)):
+            out.append((a, mem[y]))
+    for k, n in zip(batch["k"], batch["n"]):
+        acc[int(k)] = acc.get(int(k), 0) + int(n)
+'''
+    allowed = '''
+def spans(sent, i):
+    for j in range(3, 0, -1):
+        if hit:
+            for k in range(i + 1, i + j + 1):
+                sent[k] = None
+
+def levels(depth):
+    for level_no in range(depth):
+        if not pending:
+            for _ in range(level_no + 1, depth):
+                pass
+
+def per_lang(rows):
+    for lang, n in rows:
+        acc[lang] = acc.get(lang, 0) + int(n)
+'''
+    assert _pair_loop_and_fold_sites(flagged) == [
+        "<src>:5: pair loop", "<src>:8: histogram fold"]
+    assert _pair_loop_and_fold_sites(allowed) == []
+
+
+def test_no_pair_loop_or_fold_outside_helpers():
+    """Within-block pairs come from ``stages/pairs.block_pairs`` and
+    histogram partials fold through ``stages/distinct.fold_counts``:
+    no other module writes its own pair loop or dict fold."""
+    from pathlib import Path
+
+    import kawa_ray
+
+    root = Path(kawa_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).as_posix() in ("stages/pairs.py",
+                                                 "stages/distinct.py"):
+            continue
+        bad += _pair_loop_and_fold_sites(path.read_text(), str(path))
+    assert not bad, "pair loops / folds outside the helpers:\n" + "\n".join(bad)
+
+
+def test_fold_counts_sums_sorted_typed(ray_session):
+    """Partial rows of one key in several batches sum to one row;
+    keys sort ascending; both columns int64 on a RangeIndex; an empty
+    Dataset folds to the same typed frame, empty."""
+    from kawa_ray.stages.distinct import fold_counts
+
+    parts = [pd.DataFrame({"k": [3, -1], "n": [2, 5]}),
+             pd.DataFrame({"k": [3, 2 ** 40], "n": [1, 1]}),
+             pd.DataFrame({"k": pd.Series([], dtype="int64"),
+                           "n": pd.Series([], dtype="int64")})]
+    got = fold_counts(rd.from_pandas(parts), "k", "n")
+    want = pd.DataFrame({"k": [-1, 3, 2 ** 40], "n": [5, 3, 1]},
+                        dtype="int64")
+    pd.testing.assert_frame_equal(got, want)
+    empty = fold_counts(rd.from_pandas(parts[2]), "k", "n")
+    pd.testing.assert_frame_equal(empty, want.iloc[:0].reset_index(drop=True))

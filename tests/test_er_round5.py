@@ -217,8 +217,7 @@ def test_jw_kernel_matches_duckdb():
             == got.view(np.int64)).all()
 
 
-def _jw_brute(sf_dir: str, bucket: int = 8, prefix_chars: int = 16,
-              cap: int = 40) -> pd.DataFrame:
+def _prefix_census_oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     import duckdb
 
     con = duckdb.connect()
@@ -228,19 +227,31 @@ def _jw_brute(sf_dir: str, bucket: int = 8, prefix_chars: int = 16,
                 f"CAST(text AS VARCHAR) AS text, CAST(lang AS VARCHAR) "
                 f"AS lang, n_chars FROM "
                 f"read_parquet('{sf_dir}/documents.parquet')")
-    from kawa_ray.pipelines.pairscore import _jaro_winkler_sql
-    return con.execute(_jaro_winkler_sql(bucket, prefix_chars, cap)).df() \
-        .astype({"bucket": "int64", "n_pairs": "int64"})
+    df = con.execute(sql).df()
+    return df.astype({c: "int64" for c in df.columns})
 
 
-@pytest.mark.parametrize("n,seed", [(0, 31), (1, 32), (25, 33), (60, 34)])
-def test_jaro_winkler_census_matches_duckdb(ray_session, tmp_path, n, seed):
-    from kawa_ray.pipelines.pairscore import jaro_winkler_pairs_census
+# the Jaro-Winkler census and the edit-distance census share blocks,
+# prefixes and histogram shape; the edit-distance cases carry an
+# "ed-" id so the Jaro-Winkler ids stay as they were
+@pytest.mark.parametrize("n,seed,census", [
+    *(pytest.param(n, s, "jw", id=f"{n}-{s}")
+      for n, s in [(0, 31), (1, 32), (25, 33), (60, 34)]),
+    *(pytest.param(n, s, "ed", id=f"ed-{n}-{s}")
+      for n, s in [(0, 35), (1, 36), (60, 37)]),
+])
+def test_jaro_winkler_census_matches_duckdb(ray_session, tmp_path, n, seed,
+                                            census):
+    from kawa_ray.pipelines import pairscore
 
+    op, sql = {
+        "jw": (pairscore.jaro_winkler_pairs_census,
+               pairscore.JARO_WINKLER_SQL),
+        "ed": (pairscore.edit_distance_pairs_census,
+               pairscore.EDIT_DISTANCE_SQL),
+    }[census]
     sf = _word_docs(tmp_path, n, seed, vocab_size=6)
-    got = jaro_winkler_pairs_census(sf)
-    want = _jw_brute(sf)
-    pd.testing.assert_frame_equal(got, want)
+    pd.testing.assert_frame_equal(op(sf), _prefix_census_oracle(sf, sql))
 
 
 def test_soundex_key_classic_examples():

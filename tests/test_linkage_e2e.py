@@ -208,7 +208,7 @@ def test_bucketed_lp_long_path_log_rounds(ray_session):
     got = {
         r["node"]: r["lbl"]
         for r in label_propagation_components_bucketed(
-            ds, max_rounds=max_r, partitions=8).take_all()
+            ds, max_rounds=max_r).take_all()
     }
     assert len(got) == n
     assert set(got.values()) == {"n0000"}

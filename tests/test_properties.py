@@ -294,3 +294,74 @@ class TestBatchDedupHashingIdentity:
         assert len(out) == len(docs)
         for gs, hs in zip(docs, out):
             assert hs.tolist() == [md5_low64(g) for g in gs]
+
+
+# ---------------------------------------------------------------------------
+# block_pairs: the one within-block pair emitter (stages/pairs.py)
+# ---------------------------------------------------------------------------
+
+def _brute_block_pairs(keys, ids, max_members):
+    """Reference: per key, the distinct ids; keep blocks of 2..cap ids;
+    every pair of them once, smaller id first."""
+    import itertools
+
+    members: dict = {}
+    for k, d in zip(keys, ids):
+        members.setdefault(k, set()).add(d)
+    return sorted(
+        (k, a, b)
+        for k, m in members.items() if 2 <= len(m) <= max_members
+        for a, b in itertools.combinations(sorted(m), 2))
+
+
+def _emitted(keys, ids, max_members):
+    import numpy as np
+
+    from kawa_ray.stages.pairs import block_pairs
+
+    karr = np.asarray(keys, dtype=object if keys and isinstance(keys[0], str)
+                      else np.int64)
+    iarr = np.asarray(ids, dtype=np.int64)
+    ia, ib = block_pairs(karr, iarr, max_members)
+    assert (karr[ia] == karr[ib]).all()
+    assert (iarr[ia] < iarr[ib]).all()
+    got = [(keys[a], int(iarr[a]), int(iarr[b])) for a, b in zip(ia, ib)]
+    assert len(got) == len(set(got)), "a pair was emitted twice"
+    return sorted(got)
+
+
+_big_ids = st.integers(min_value=-(2 ** 62), max_value=2 ** 62)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(-8, 8)),
+                max_size=80),
+       st.integers(min_value=1, max_value=8))
+def test_block_pairs_int_keys_match_brute_force(rows, cap):
+    # small id range: repeated (key, id) rows are common
+    keys = [k for k, _ in rows]
+    ids = [d for _, d in rows]
+    assert _emitted(keys, ids, cap) == _brute_block_pairs(keys, ids, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "a", "b|1", "日本", "zz"]),
+                          st.one_of(_big_ids, st.integers(-3, 3))),
+                max_size=60),
+       st.integers(min_value=1, max_value=10))
+def test_block_pairs_str_keys_large_ids_match_brute_force(rows, cap):
+    keys = [k for k, _ in rows]
+    ids = [d for _, d in rows]
+    assert _emitted(keys, ids, cap) == _brute_block_pairs(keys, ids, cap)
+
+
+def test_block_pairs_fixed_cases():
+    assert _emitted([], [], 5) == []
+    # all singleton blocks: nothing to pair
+    assert _emitted([1, 2, 3, 4], [10, 20, 30, 40], 5) == []
+    # a block of exactly max_members is kept, one of max_members + 1 dropped
+    keys = [7] * 3 + [9] * 4
+    ids = [3, 1, 2, 5, 6, 7, 8]
+    assert _emitted(keys, ids, 3) == [(7, 1, 2), (7, 1, 3), (7, 2, 3)]
+    # a repeated (key, id) row does not count toward the cap
+    assert _emitted([4, 4, 4, 4], [2, 1, 2, 1], 2) == [(4, 1, 2)]
