@@ -34,7 +34,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from kawa_ray.stages.distinct import fold_counts, partition_join, partition_reduce
+from kawa_ray.stages.distinct import fold_groups, partition_join, partition_reduce
 from kawa_ray.stages.pairs import block_pairs
 from kawa_ray.stages.spill import pinned_or_spilled
 
@@ -99,17 +99,11 @@ def snm_blocking_census(sf_dir: str, window: int = _SNM_WINDOW,
         b = df["lang"].fillna("") + "|" + df["text"].fillna("").str.slice(0, bc)
         return b.groupby(b).size().rename("n").rename_axis("bucket").reset_index()
 
-    counts: dict[str, int] = {}
-    for batch in ds1.map_batches(bucket_counts, batch_format="pandas") \
-                    .iter_batches(batch_format="pandas"):
-        for k, n in zip(batch["bucket"], batch["n"]):
-            counts[k] = counts.get(k, 0) + int(n)
-    offsets: dict[str, int] = {}
-    acc = 0
-    for k in sorted(counts):  # prefix-bucket order == global key order
-        offsets[k] = acc
-        acc += counts[k]
-    off_ref = ray.put(offsets)
+    counts = fold_groups(ds1.map_batches(bucket_counts, batch_format="pandas"),
+                         "bucket", {"n": ("n", "sum")})
+    # sorted prefix-bucket order == global key order
+    off_ref = ray.put(dict(zip(counts["bucket"],
+                               (counts["n"].cumsum() - counts["n"]).tolist())))
 
     # pass 2: global ranks
     ds2 = _read_docs(sf_dir, ["doc_id", "lang", "source", "n_chars", "text"])
@@ -285,10 +279,10 @@ def metablocking_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
         return pd.DataFrame({"weight": h["w"].astype("int64"),
                              "n_pairs": h["n_pairs"].astype("int64")})
 
-    return fold_counts(partition_reduce(
+    return fold_groups(partition_reduce(
         partition_reduce(banded, "band",
                          _block_pairs_part("band", max_members)),
-        "a", weight_part), "weight", "n_pairs")
+        "a", weight_part), "weight", {"n_pairs": ("n_pairs", "sum")})
 
 
 def _metablocking_sql(num_perm: int = 64, bands: int = 16,
@@ -377,17 +371,14 @@ def multirule_blocking_census(sf_dir: str, num_perm: int = 64,
             [per_rule, pd.DataFrame({"rule": ["union"], "n_pairs": [n_union]})],
             ignore_index=True)
 
-    acc: dict[str, int] = {}
-    folded = partition_reduce(tagged, "a", count_part)
-    for batch in folded.iter_batches(batch_format="pandas"):
-        for rule, n in zip(batch["rule"], batch["n_pairs"]):
-            acc[str(rule)] = acc.get(str(rule), 0) + int(n)
+    out = fold_groups(partition_reduce(tagged, "a", count_part), "rule",
+                      {"n_pairs": ("n_pairs", "sum")})
     # the oracle's UNION ALL arm emits ('union', 0) even when no rule
     # proposed a single pair; match it on the degenerate boundary
-    acc.setdefault("union", 0)
-    out = pd.DataFrame(sorted(acc.items()), columns=["rule", "n_pairs"])
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return out.reset_index(drop=True)
+    if "union" not in set(out["rule"]):
+        out = pd.concat([out, pd.DataFrame({"rule": ["union"], "n_pairs": [0]})],
+                        ignore_index=True).sort_values("rule", ignore_index=True)
+    return out
 
 
 def _multirule_tagged_pairs(sf_dir: str, num_perm: int, bands: int,
@@ -520,8 +511,8 @@ def multirule_cluster_census(sf_dir: str, num_perm: int = 64,
     node-space driver table."""
     labels = _multirule_closure_labels(sf_dir, num_perm, bands, max_members)
     n_docs = int(_read_docs(sf_dir, ["doc_id"]).count())
-    hist: dict[int, int] = {}
-    n_nodes = 0
+    singles = pd.DataFrame({"size": [1], "n_clusters": [n_docs]})
+    hist = singles.iloc[:0]
     if labels is not None:
         def size_part(g: pd.DataFrame) -> pd.DataFrame:
             sizes = g.groupby("lbl").size()  # whole label co-locates
@@ -531,18 +522,13 @@ def multirule_cluster_census(sf_dir: str, num_perm: int = 64,
                                  "n_nodes": [int(sizes.sum())] + [0] * (len(h) - 1)
                                  if len(h) else pd.Series([], dtype="int64")})
 
-        for batch in partition_reduce(labels, "lbl", size_part) \
-                .iter_batches(batch_format="pandas"):
-            for sz, n, nn in zip(batch["size"], batch["n_clusters"],
-                                 batch["n_nodes"]):
-                hist[int(sz)] = hist.get(int(sz), 0) + int(n)
-                n_nodes += int(nn)
+        hist = fold_groups(partition_reduce(labels, "lbl", size_part), "size",
+                           {"n_clusters": ("n_clusters", "sum"),
+                            "n_nodes": ("n_nodes", "sum")})
+        singles["n_clusters"] -= int(hist["n_nodes"].sum())
 
-    hist[1] = hist.get(1, 0) + (n_docs - n_nodes)
-    out = pd.DataFrame(sorted(hist.items()), columns=["size", "n_clusters"])
-    out["size"] = out["size"].astype("int64")
-    out["n_clusters"] = out["n_clusters"].astype("int64")
-    return out.reset_index(drop=True)
+    return (pd.concat([singles, hist[["size", "n_clusters"]]], ignore_index=True)
+            .groupby("size", as_index=False)["n_clusters"].sum())
 
 
 def _multirule_cluster_sql(num_perm: int = 64, bands: int = 16,
@@ -638,18 +624,11 @@ def cluster_survivorship_census(sf_dir: str, num_perm: int = 64,
                                           max_members)
 
     docs = _read_docs(sf_dir, ["doc_id", "lang", "source"])
+    key = ["lang", "source"]
 
-    # full-corpus (lang, source) census partials -> driver fold
-    total: dict[tuple, int] = {}
-    for batch in docs.map_batches(
-            lambda df: df.groupby(["lang", "source"]).size()
-            .reset_index(name="n"),
-            batch_format="pandas").iter_batches(batch_format="pandas"):
-        for la, so, n in zip(batch["lang"], batch["source"], batch["n"]):
-            total[(str(la), str(so))] = total.get((str(la), str(so)), 0) + int(n)
-
-    canon: dict[tuple, int] = {}
-    labeled_docs: dict[tuple, int] = {}
+    # per (lang, source): canon votes + full-corpus docs - labeled docs
+    # (a key with no vote and no singleton nets to 0 and is dropped)
+    parts = [fold_groups(docs, key, {"n": (None, "count")})]
     if labels_ds is not None:
         def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({"doc_id": df["doc_id"].astype("int64"),
@@ -677,31 +656,15 @@ def cluster_survivorship_census(sf_dir: str, num_perm: int = 64,
             part = pd.DataFrame({"lang": out_l, "source": out_s})
             return part.groupby(["lang", "source"]).size().reset_index(name="n")
 
-        for batch in partition_reduce(members, "lbl", canon_part) \
-                .iter_batches(batch_format="pandas"):
-            for la, so, n in zip(batch["lang"], batch["source"], batch["n"]):
-                canon[(str(la), str(so))] = \
-                    canon.get((str(la), str(so)), 0) + int(n)
+        parts.append(fold_groups(partition_reduce(members, "lbl", canon_part),
+                                 key, {"n": ("n", "sum")}))
+        labeled = fold_groups(members, key, {"n": (None, "count")})
+        parts.append(labeled.assign(n=-labeled["n"]))
 
-        for batch in members.map_batches(
-                lambda df: df.groupby(["lang", "source"]).size()
-                .reset_index(name="n"),
-                batch_format="pandas").iter_batches(batch_format="pandas"):
-            for la, so, n in zip(batch["lang"], batch["source"], batch["n"]):
-                labeled_docs[(str(la), str(so))] = \
-                    labeled_docs.get((str(la), str(so)), 0) + int(n)
-
-    out: dict[tuple, int] = dict(canon)
-    for k, n in total.items():
-        singles = n - labeled_docs.get(k, 0)
-        if singles:
-            out[k] = out.get(k, 0) + singles
-    rows = sorted(out.items())
-    return pd.DataFrame({
-        "lang": [k[0] for k, _ in rows],
-        "source": [k[1] for k, _ in rows],
-        "n_clusters": pd.Series([n for _, n in rows], dtype="int64"),
-    })
+    out = (pd.concat(parts, ignore_index=True)
+           .groupby(key, as_index=False)["n"].sum()
+           .rename(columns={"n": "n_clusters"}))
+    return out[out["n_clusters"] != 0].reset_index(drop=True)
 
 
 def _survivorship_sql(num_perm: int = 64, bands: int = 16,
@@ -1058,8 +1021,8 @@ def cluster_density_census(sf_dir: str, num_perm: int = 64, bands: int = 16,
         return pd.DataFrame({"density_bucket": vals.astype("int64"),
                              "n_clusters": cnts.astype("int64")})
 
-    return fold_counts(partition_reduce(tagged, "lbl", density_part),
-                       "density_bucket", "n_clusters")
+    return fold_groups(partition_reduce(tagged, "lbl", density_part),
+                       "density_bucket", {"n_clusters": ("n_clusters", "sum")})
 
 
 def _cluster_density_sql(num_perm: int = 64, bands: int = 16,
@@ -1312,9 +1275,10 @@ def phonetic_blocking_census(sf_dir: str):
         return pd.DataFrame({"block_size": vc.index.astype("int64"),
                              "n_blocks": vc.to_numpy().astype("int64")})
 
-    return fold_counts(partition_reduce(
+    return fold_groups(partition_reduce(
         docs.map_batches(key_partials, batch_format="pandas"), "k",
-        histogram, partitions=_PH_PARTITIONS), "block_size", "n_blocks")
+        histogram, partitions=_PH_PARTITIONS), "block_size",
+        {"n_blocks": ("n_blocks", "sum")})
 
 
 def _phonetic_sql() -> str:

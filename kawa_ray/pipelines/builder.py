@@ -13,8 +13,9 @@ where SQL-expressible:
 - bounded semi-join expansion (B11, ontology_builder.py:1172-1207 — the
                                ≤3-round multilingual BFS)
 
-All keep the shuffle small by pre-aggregating inside ``map_batches``
-before the ``groupby`` (partials), exactly like the flagship pipeline.
+Grouped results fold per-block partials on the driver
+(``stages/distinct.fold_groups``) and per-key reduces run once per
+partition (``stages/distinct.partition_reduce``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
+
+from kawa_ray.stages.distinct import fold_groups, partition_distinct, partition_reduce
 
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
@@ -43,16 +45,12 @@ def suppliers_per_nation(sf_dir: str):
     ds = _read(sf_dir, "supplier", ["s_nationkey", "s_name"])
 
     def collect(g: pd.DataFrame) -> pd.DataFrame:
-        names = sorted(set(g["s_name"]))
-        return pd.DataFrame(
-            {
-                "s_nationkey": [int(g["s_nationkey"].iloc[0])],
-                "n_suppliers": [len(names)],
-                "suppliers": [",".join(names)],
-            }
-        )
+        out = (g.drop_duplicates().sort_values("s_name")
+               .groupby("s_nationkey", as_index=False)["s_name"]
+               .agg(n_suppliers="size", suppliers=",".join))
+        return out.astype({"s_nationkey": "int64"})
 
-    out = ds.groupby("s_nationkey").map_groups(collect, batch_format="pandas").to_pandas()
+    out = partition_reduce(ds, "s_nationkey", collect).to_pandas()
     return out.sort_values("s_nationkey").reset_index(drop=True)
 
 
@@ -85,8 +83,6 @@ def majority_event_type(sf_dir: str):
     # the per-batch partial counts AND takes the vote in-batch (the
     # stages/distinct.py per-key rule; the old shape paid two per-key
     # Ray ops — a (user,type) aggregate then a per-user map_groups)
-    from kawa_ray.stages.distinct import partition_reduce
-
     def vote_part(g: pd.DataFrame) -> pd.DataFrame:
         c = (g.groupby(["user_id", "event_type"], sort=False, as_index=False)
              ["n"].sum().rename(columns={"n": "n_events"}))
@@ -130,16 +126,11 @@ def top_type_tokens(sf_dir: str, keep_fraction: float = 0.25):
     ds = _read(sf_dir, "part", ["p_type"])
 
     def toks(t: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(pc.split_pattern(t.column("p_type"), " "))
-        tt = pa.table({"tok": flat, "n": pa.array([1] * len(flat), pa.int64())})
-        return tt.group_by("tok").aggregate([("n", "sum")]).rename_columns(["tok", "n"])
+        return pa.table({"tok": pc.list_flatten(pc.split_pattern(t.column("p_type"), " "))})
 
-    counts = (
-        ds.map_batches(toks, batch_format="pyarrow")
-        .groupby("tok")
-        .aggregate(Sum("n", alias_name="n"))
-    )
-    df = counts.to_pandas()  # distinct-token sized: tiny
+    # distinct-token sized: tiny
+    df = fold_groups(ds.map_batches(toks, batch_format="pyarrow"), "tok",
+                     {"n": (None, "count")})
     k = math.ceil(len(df) * keep_fraction)
     df = df.sort_values(["n", "tok"], ascending=[False, True]).head(k)
     return df.reset_index(drop=True)
@@ -186,16 +177,15 @@ def _user_bucket_edges(sf_dir: str) -> rd.Dataset:
         return pa.table({"user_id": t.column("user_id"), "bucket": bucket})
 
     def path_edges(g: pd.DataFrame) -> pd.DataFrame:
-        ids = sorted(set(g["user_id"]))
-        if len(ids) < 2:
-            return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64")})
-        return pd.DataFrame({"a": ids[:-1], "b": ids[1:]})
+        # consecutive members of each bucket's sorted distinct users
+        g = g.drop_duplicates().sort_values(["bucket", "user_id"])
+        ids = g["user_id"].to_numpy("int64")
+        bkt = g["bucket"].to_numpy()
+        same = bkt[1:] == bkt[:-1]
+        return pd.DataFrame({"a": ids[:-1][same], "b": ids[1:][same]})
 
-    return (
-        ds.map_batches(buckets, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(path_edges, batch_format="pandas")
-    )
+    return partition_reduce(ds.map_batches(buckets, batch_format="pyarrow"),
+                            "bucket", path_edges)
 
 
 def user_components(sf_dir: str):
@@ -380,20 +370,16 @@ def user_pagerank(sf_dir: str, iterations: int = 2, max_members: int = 200,
         ia, ib = block_pairs(g["bucket"].to_numpy(), ids, max_members)
         return pd.DataFrame({"a": ids[ia], "b": ids[ib]})
 
-    ub = (
+    ub = partition_reduce(
         ds.map_batches(buckets, batch_format="pyarrow")
         .map_batches(lambda t: t.group_by(["user_id", "bucket"]).aggregate([]),
-                     batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(clique_edges, batch_format="pandas")
-    )
+                     batch_format="pyarrow"),
+        "bucket", clique_edges)
     # exact distinct edges (in-bucket distinct already; dedup across
     # buckets) via the shared partitioned distinct (stages/distinct.py —
     # a Ray multi-key aggregate pays per DISTINCT KEY: 160k edge keys
     # measured 345 s at sf0.1).  Symmetrised into adjacency rows once,
     # kept materialised across iterations.
-    from kawa_ray.stages.distinct import partition_distinct
-
     edges = partition_distinct(ub, ["a", "b"], key_col="a").materialize()
     adj = edges.map_batches(
         lambda df: pd.DataFrame({
@@ -403,14 +389,9 @@ def user_pagerank(sf_dir: str, iterations: int = 2, max_members: int = 200,
         batch_format="pandas",
     ).materialize()
 
-    # degree table: per-batch partial counts fold on the driver
-    deg: dict[int, int] = {}
-    for b in adj.map_batches(
-            lambda df: df.groupby("node", as_index=False).size().rename(
-                columns={"size": "d"}),
-            batch_format="pandas").iter_batches(batch_format="pandas"):
-        for node, d in zip(b["node"], b["d"]):
-            deg[int(node)] = deg.get(int(node), 0) + int(d)
+    # degree table: per-block partial counts fold on the driver
+    d = fold_groups(adj, "node", {"d": (None, "count")})
+    deg = dict(zip(d["node"].tolist(), d["d"].tolist()))
 
     users = sorted(int(u) for u in _read(sf_dir, "events", ["user_id"]).unique("user_id"))
     n = len(users)
@@ -427,14 +408,11 @@ def user_pagerank(sf_dir: str, iterations: int = 2, max_members: int = 200,
             prv = pd.Series(node).map(pr_t).to_numpy("int64")
             dv = pd.Series(node).map(deg_t).to_numpy("int64")
             c = (17 * prv) // (20 * dv)
-            out = pd.DataFrame({"u": df["nbr"].to_numpy("int64"), "c": c})
-            return out.groupby("u", as_index=False)["c"].sum()
+            return pd.DataFrame({"u": df["nbr"].to_numpy("int64"), "c": c})
 
-        sums: dict[int, int] = {}
-        for b in adj.map_batches(contribute, batch_format="pandas").iter_batches(
-                batch_format="pandas"):
-            for u, c in zip(b["u"], b["c"]):
-                sums[int(u)] = sums.get(int(u), 0) + int(c)
+        s = fold_groups(adj.map_batches(contribute, batch_format="pandas"), "u",
+                        {"c": ("c", "sum")})
+        sums = dict(zip(s["u"].tolist(), s["c"].tolist()))
         pr = {u: base + sums.get(u, 0) for u in users}
 
     out = pd.DataFrame({"user_id": list(pr), "pr_nano": list(pr.values())})

@@ -144,9 +144,8 @@ def docs_clean_dedup_census(sf_dir: str):
     import hashlib
 
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from kawa_ray.stages.distinct import partition_reduce
+    from kawa_ray.stages.distinct import fold_groups, partition_reduce
 
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "lang", "text"])
@@ -163,16 +162,11 @@ def docs_clean_dedup_census(sf_dir: str):
         return g.groupby("lang", as_index=False).size().rename(
             columns={"size": "n"})
 
-    out = (
+    return fold_groups(
         partition_reduce(
             ds.map_batches(filter_and_fingerprint, batch_format="pandas"),
-            "fingerprint", keep_first, 64)
-        .groupby("lang")
-        .aggregate(Sum("n", alias_name="n_survivors"))
-        .to_pandas()
-    )
-    out["n_survivors"] = out["n_survivors"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+            "fingerprint", keep_first, 64),
+        "lang", {"n_survivors": ("n", "sum")})
 
 
 def _clean_dedup_sql() -> str:

@@ -19,7 +19,6 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
-from ray.data.aggregate import Count, Sum
 
 from kawa_ray.functions.minhash import (
     lsh_band_keys,
@@ -31,6 +30,7 @@ from kawa_ray.functions.minhash import (
 )
 from kawa_ray.stages.clustering import _DRIVER_EDGE_THRESHOLD, closure_labels
 from kawa_ray.stages.distinct import (
+    fold_groups,
     partition_distinct,
     partition_join,
     partition_reduce,
@@ -46,13 +46,9 @@ def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
 
 
 def docs_per_lang(sf_dir: str):
-    ds = _read_docs(sf_dir, ["lang", "n_chars"])
-    out = (
-        ds.groupby("lang")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_chars", alias_name="total_chars"))
-        .to_pandas()
-    )
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(_read_docs(sf_dir, ["lang", "n_chars"]), "lang",
+                       {"n_docs": (None, "count"),
+                        "total_chars": ("n_chars", "sum")})
 
 
 DOCS_PER_LANG_SQL = """
@@ -74,22 +70,11 @@ def token_count_stats(sf_dir: str):
             pa.scalar(0, pa.int64()),
             pc.cast(pc.list_value_length(pc.split_pattern_regex(trimmed, r"\s+")), pa.int64()),
         )
-        tt = pa.table({
-            "lang": t.column("lang"),
-            "tokens": ntoks,
-            "n": pa.array([1] * t.num_rows, pa.int64()),
-        })
-        return tt.group_by("lang").aggregate(
-            [("tokens", "sum"), ("n", "sum")]
-        ).rename_columns(["lang", "total_tokens", "n"])
+        return pa.table({"lang": t.column("lang"), "tokens": ntoks})
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("total_tokens", alias_name="total_tokens"), Sum("n", alias_name="n_docs"))
-        .to_pandas()
-    )
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(ds.map_batches(partial, batch_format="pyarrow"), "lang",
+                       {"total_tokens": ("tokens", "sum"),
+                        "n_docs": (None, "count")})
 
 
 TOKEN_COUNT_SQL = """
@@ -112,18 +97,13 @@ def doc_fingerprints(sf_dir: str):
 
     # distinct via the shared partitioned distinct (stages/distinct.py)
     # with a fused per-lang partial count — doc-cardinality keys
-    out = (
+    return fold_groups(
         partition_distinct(
             ds.map_batches(fp, batch_format="pyarrow"),
             ["lang", "fingerprint"], key_col="fingerprint",
             then=lambda g: g.groupby("lang", as_index=False).size().rename(
-                columns={"size": "n"}))
-        .groupby("lang")
-        .aggregate(Sum("n", alias_name="n_distinct"))
-        .to_pandas()
-    )
-    out["n_distinct"] = out["n_distinct"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+                columns={"size": "n"})),
+        "lang", {"n_distinct": ("n", "sum")})
 
 
 DOC_FINGERPRINTS_SQL = """
@@ -156,17 +136,11 @@ def exact_dedup_docs(sf_dir: str):
                          n_duplicates=("n_dups", "sum")))
         return per_lang
 
-    out = (
+    return fold_groups(
         partition_reduce(ds.map_batches(key, batch_format="pyarrow"),
-                         "fingerprint", keep_first_part)
-        .groupby("lang")
-        .aggregate(Sum("n_survivors", alias_name="n_survivors"),
-                   Sum("n_duplicates", alias_name="n_duplicates"))
-        .to_pandas()
-    )
-    out["n_survivors"] = out["n_survivors"].astype("int64")
-    out["n_duplicates"] = out["n_duplicates"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+                         "fingerprint", keep_first_part),
+        "lang", {"n_survivors": ("n_survivors", "sum"),
+                 "n_duplicates": ("n_duplicates", "sum")})
 
 
 EXACT_DEDUP_SQL = """
@@ -210,17 +184,11 @@ def cross_dump_dedup_census(sf_dir: str):
                 .groupby("lang", as_index=False)
                 .agg(n_new=("d", "size"), n_dup_vs_old=("d", "sum")))
 
-    out = (
+    return fold_groups(
         partition_reduce(ds.map_batches(key, batch_format="pyarrow"),
-                         "fingerprint", census_part)
-        .groupby("lang")
-        .aggregate(Sum("n_new", alias_name="n_new"),
-                   Sum("n_dup_vs_old", alias_name="n_dup_vs_old"))
-        .to_pandas()
-    )
-    out["n_new"] = out["n_new"].astype("int64")
-    out["n_dup_vs_old"] = out["n_dup_vs_old"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+                         "fingerprint", census_part),
+        "lang", {"n_new": ("n_new", "sum"),
+                 "n_dup_vs_old": ("n_dup_vs_old", "sum")})
 
 
 CROSS_DUMP_DEDUP_SQL = """
@@ -301,18 +269,12 @@ def cross_dump_banddup_census(sf_dir: str, num_perm: int = 64,
                 .agg(n_new_banded=("hit", "size"),
                      n_banddup_vs_old=("hit", "sum")))
 
-    out = (
+    return fold_groups(
         partition_reduce(
             partition_reduce(banded, "band", hits_part),
-            "doc_id", doc_part)
-        .groupby("lang")
-        .aggregate(Sum("n_new_banded", alias_name="n_new_banded"),
-                   Sum("n_banddup_vs_old", alias_name="n_banddup_vs_old"))
-        .to_pandas()
-    )
-    out["n_new_banded"] = out["n_new_banded"].astype("int64")
-    out["n_banddup_vs_old"] = out["n_banddup_vs_old"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+            "doc_id", doc_part),
+        "lang", {"n_new_banded": ("n_new_banded", "sum"),
+                 "n_banddup_vs_old": ("n_banddup_vs_old", "sum")})
 
 
 def _cross_banddup_sql(num_perm: int = 64, bands: int = 16) -> str:
@@ -420,18 +382,12 @@ def cross_dump_neardup_census(sf_dir: str, num_perm: int = 64,
                      n_neardup_vs_old=("hit", "sum")))
 
     docs_src = _read_docs(sf_dir, ["doc_id", "lang", "text"])
-    out = (
+    return fold_groups(
         partition_join(
             [(docs_src.map_batches(new_rows, batch_format="pyarrow"), "doc_id"),
-             (edges, "b")], census_part)
-        .groupby("lang")
-        .aggregate(Sum("n_new_banded", alias_name="n_new_banded"),
-                   Sum("n_neardup_vs_old", alias_name="n_neardup_vs_old"))
-        .to_pandas()
-    )
-    out["n_new_banded"] = out["n_new_banded"].astype("int64")
-    out["n_neardup_vs_old"] = out["n_neardup_vs_old"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+             (edges, "b")], census_part),
+        "lang", {"n_new_banded": ("n_new_banded", "sum"),
+                 "n_neardup_vs_old": ("n_neardup_vs_old", "sum")})
 
 
 def _cross_neardup_sql(num_perm: int = 64, bands: int = 16,
@@ -500,25 +456,17 @@ def punctuation_stats(sf_dir: str):
         import pyarrow.compute as pc
 
         text = t.column("text")
-        tt = pa.table({
+        return pa.table({
             "lang": t.column("lang"),
-            "punct": pc.cast(pc.count_substring_regex(text, "[.!?,;:]"), pa.int64()),
-            "ws": pc.cast(pc.count_substring(text, " "), pa.int64()),
-            "chars": pc.cast(pc.utf8_length(text), pa.int64()),
+            "punct": pc.count_substring_regex(text, "[.!?,;:]"),
+            "ws": pc.count_substring(text, " "),
+            "chars": pc.utf8_length(text),
         })
-        return tt.group_by("lang").aggregate(
-            [("punct", "sum"), ("ws", "sum"), ("chars", "sum")]
-        ).rename_columns(["lang", "punct", "ws", "chars"])
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("punct", alias_name="punct_chars"),
-                   Sum("ws", alias_name="space_chars"),
-                   Sum("chars", alias_name="total_chars"))
-        .to_pandas()
-    )
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(ds.map_batches(partial, batch_format="pyarrow"), "lang",
+                       {"punct_chars": ("punct", "sum"),
+                        "space_chars": ("ws", "sum"),
+                        "total_chars": ("chars", "sum")})
 
 
 PUNCT_STATS_SQL = """
@@ -976,21 +924,10 @@ def docs_split_assign(sf_dir: str):
             pc.equal(pc.cast(pc.bit_wise_and(t.column("doc_id"), 7), pa.int64()), 0),
             pa.scalar("test"), pa.scalar("train"),
         )
-        tt = pa.table({"lang": t.column("lang"), "split": split,
-                       "n": pa.array([1] * t.num_rows, pa.int64())})
-        return tt.group_by(["lang", "split"]).aggregate([("n", "sum")]).rename_columns(
-            ["lang", "split", "n"]
-        )
+        return pa.table({"lang": t.column("lang"), "split": split})
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby(["lang", "split"])
-        .aggregate(Sum("n", alias_name="n_docs"))
-        .to_pandas()
-    )
-    return out.sort_values(["lang", "split"]).reset_index(drop=True)
+    return fold_groups(ds.map_batches(assign, batch_format="pyarrow"),
+                       ["lang", "split"], {"n_docs": (None, "count")})
 
 
 DOCS_SPLIT_SQL = """
@@ -1025,24 +962,14 @@ def docs_sample_stats(sf_dir: str, modulo: int = 20):
         import pyarrow.compute as pc
 
         toks = pc.list_value_length(pc.split_pattern_regex(t.column("text"), r"\s+"))
-        tt = pa.table({"lang": t.column("lang"),
-                       "tok": pc.cast(toks, pa.int64()),
-                       "n": pa.array([1] * t.num_rows, pa.int64())})
-        return tt.group_by("lang").aggregate([("tok", "sum"), ("n", "sum")]).rename_columns(
-            ["lang", "tok_sum", "n"]
-        )
+        return pa.table({"lang": t.column("lang"), "tok": toks})
 
-    from ray.data.aggregate import Sum
-
-    out = (
+    out = fold_groups(
         ds.map_batches(keep, batch_format="pyarrow")
-        .map_batches(stats, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("tok_sum", alias_name="tok_sum"), Sum("n", alias_name="n_docs"))
-        .to_pandas()
-    )
+        .map_batches(stats, batch_format="pyarrow"),
+        "lang", {"tok_sum": ("tok", "sum"), "n_docs": (None, "count")})
     out["avg_tokens"] = (out["tok_sum"] / out["n_docs"]).round(4)
-    return out[["lang", "n_docs", "avg_tokens"]].sort_values("lang").reset_index(drop=True)
+    return out[["lang", "n_docs", "avg_tokens"]]
 
 
 DOCS_SAMPLE_SQL = r"""
@@ -1347,22 +1274,16 @@ def doc_winnow_fingerprints(sf_dir: str, k: int = 8, w: int = 4):
         nd = f.groupby("lang", as_index=False).size().rename(
             columns={"size": "n_distinct"})
         dd = d.groupby("lang", as_index=False)[["n_docs", "n_fps"]].sum()
-        out = dd.merge(nd, on="lang", how="outer").fillna(0)
-        return out
+        return (dd.merge(nd, on="lang", how="outer").fillna(0)
+                .astype({c: "int64" for c in ("n_docs", "n_fps", "n_distinct")}))
 
-    out = (
+    return fold_groups(
         partition_distinct(ds.map_batches(fused, batch_format="pyarrow"),
                            ["lang", "fp"], key_col="fp",
-                           passthrough_col="is_doc", then=fold)
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_fps", alias_name="n_fingerprints"),
-                   Sum("n_distinct", alias_name="n_distinct"))
-        .to_pandas()
-    )
-    for c in ("n_docs", "n_fingerprints", "n_distinct"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+                           passthrough_col="is_doc", then=fold),
+        "lang", {"n_docs": ("n_docs", "sum"),
+                 "n_fingerprints": ("n_fps", "sum"),
+                 "n_distinct": ("n_distinct", "sum")})
 
 
 # GPT-2-style pre-tokenizer shape (contractions | space?+letter-run |
@@ -1392,34 +1313,23 @@ def doc_profile_stats(sf_dir: str):
             pa.scalar(0, pa.int64()),
             pc.cast(pc.list_value_length(pc.split_pattern_regex(trimmed, r"\s+")), pa.int64()),
         )
-        tt = pa.table({
+        return pa.table({
             "lang": t.column("lang"),
-            "n": pa.array([1] * t.num_rows, pa.int64()),
             "tokens": ntoks,
-            "bpe": pc.cast(pc.count_substring_regex(text, BPE_TOKEN_PAT), pa.int64()),
-            "punct": pc.cast(pc.count_substring_regex(text, "[.!?,;:]"), pa.int64()),
-            "spaces": pc.cast(pc.count_substring(text, " "), pa.int64()),
-            "chars": pc.cast(pc.utf8_length(text), pa.int64()),
+            "bpe": pc.count_substring_regex(text, BPE_TOKEN_PAT),
+            "punct": pc.count_substring_regex(text, "[.!?,;:]"),
+            "spaces": pc.count_substring(text, " "),
+            "chars": pc.utf8_length(text),
         })
-        return tt.group_by("lang").aggregate(
-            [("n", "sum"), ("tokens", "sum"), ("bpe", "sum"), ("punct", "sum"),
-             ("spaces", "sum"), ("chars", "sum")]
-        ).rename_columns(["lang", "n", "tokens", "bpe", "punct", "spaces", "chars"])
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("n", alias_name="n_docs"),
-            Sum("tokens", alias_name="total_tokens"),
-            Sum("bpe", alias_name="bpe_tokens"),
-            Sum("punct", alias_name="punct_chars"),
-            Sum("spaces", alias_name="space_chars"),
-            Sum("chars", alias_name="total_chars"),
-        )
-        .to_pandas()
-    )
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(ds.map_batches(partial, batch_format="pyarrow"), "lang", {
+        "n_docs": (None, "count"),
+        "total_tokens": ("tokens", "sum"),
+        "bpe_tokens": ("bpe", "sum"),
+        "punct_chars": ("punct", "sum"),
+        "space_chars": ("spaces", "sum"),
+        "total_chars": ("chars", "sum"),
+    })
 
 
 _BPE_PAT_SQL = BPE_TOKEN_PAT.replace("'", "''")

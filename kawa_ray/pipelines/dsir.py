@@ -47,7 +47,7 @@ import re
 import numpy as np
 import pandas as pd
 
-from ray.data.aggregate import Sum
+from kawa_ray.stages.distinct import fold_groups
 
 _WS = re.compile(r"\s+")
 _BUCKETS = 8192
@@ -138,25 +138,13 @@ def dsir_selection_census(sf_dir: str):
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
         w = _weights(df)
-        out = pd.DataFrame({"lang": df["lang"].to_numpy(), "w": w})
-        return (out.assign(n_docs=1,
-                           n_selected=(out["w"] > thr).astype("int64"))
-                .groupby("lang", as_index=False)
-                .agg(n_docs=("n_docs", "sum"),
-                     n_selected=("n_selected", "sum"),
-                     sum_weight_micro=("w", "sum")))
+        return pd.DataFrame({"lang": df["lang"].to_numpy(), "w": w,
+                             "sel": (w > thr).astype("int64")})
 
-    out = (
-        docs_score.map_batches(score, batch_format="pandas")
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_selected", alias_name="n_selected"),
-                   Sum("sum_weight_micro", alias_name="sum_weight_micro"))
-        .to_pandas()
-    )
-    for c in ("n_docs", "n_selected", "sum_weight_micro"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(docs_score.map_batches(score, batch_format="pandas"),
+                       "lang", {"n_docs": (None, "count"),
+                                "n_selected": ("sel", "sum"),
+                                "sum_weight_micro": ("w", "sum")})
 
 
 def _dsir_sql() -> str:

@@ -19,6 +19,7 @@ from kawa_ray.config import LinkageConfig
 from kawa_ray.eval.pairwise import bcubed_scores, gold_labeled_pairs, pairwise_f1
 from kawa_ray.gates import gate
 from kawa_ray.sources.pages import ensure_pages, sf_of_dir
+from kawa_ray.stages.distinct import fold_groups
 
 _LINK_CACHE: dict[str, dict] = {}
 
@@ -48,19 +49,10 @@ def er_extract_check(sf_dir: str):
     def check(t: pa.Table) -> pa.Table:
         ok = [int(extract_text(h) == x) for h, x in
               zip(t.column("html").to_pylist(), t.column("text").to_pylist())]
-        df = pd.DataFrame({"lang": t.column("lang").to_pylist(), "ok": ok})
-        g = df.groupby("lang", sort=False).agg(n_pages=("ok", "size"), n_identical=("ok", "sum"))
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
+        return pa.table({"lang": t.column("lang"), "ok": pa.array(ok, pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(check, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_pages", alias_name="n_pages"), Sum("n_identical", alias_name="n_identical"))
-        .to_pandas()
-    )
-    out = out.sort_values("lang").reset_index(drop=True)
+    out = fold_groups(ds.map_batches(check, batch_format="pyarrow"), "lang",
+                      {"n_pages": (None, "count"), "n_identical": ("ok", "sum")})
     bad = out[out["n_identical"] != out["n_pages"]]
     gate(bad.empty, "byte-identity broken: extracted text != golden text",
          langs=bad["lang"].tolist())
@@ -215,7 +207,6 @@ def er_word2ner_stats(sf_dir: str):
 
     import pyarrow as pa
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from kawa_ray.config import LABEL_WEIGHT_FACTORS
     from kawa_ray.sources.roster import build_roster, roster_word2ner
@@ -230,35 +221,25 @@ def er_word2ner_stats(sf_dir: str):
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        out: dict[str, list] = {"label": [], "weight": [], "n": []}
-        agg: dict[str, tuple[float, int]] = {}
+        weight = []
         for word, label, w in zip(
             t.column("word").to_pylist(), t.column("label").to_pylist(),
             t.column("w").to_pylist(),
         ):
             lens = len(word) + len(word.split("_"))
             wt = (w or 1.0) + 1.0 / (1.0 + math.sqrt(lens))
-            wt *= LABEL_WEIGHT_FACTORS.get(label, 1.0)
-            s, n = agg.get(label, (0.0, 0))
-            agg[label] = (s + wt, n + 1)
-        for label, (s, n) in agg.items():
-            out["label"].append(label)
-            out["weight"].append(s)
-            out["n"].append(n)
-        return pa.Table.from_pydict(out)
+            weight.append(wt * LABEL_WEIGHT_FACTORS.get(label, 1.0))
+        return pa.table({"label": t.column("label"),
+                         "weight": pa.array(weight, pa.float64())})
 
-    out = (
-        rd.from_arrow(tbl)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(Sum("weight", alias_name="weight"), Sum("n", alias_name="n_words"))
-        .to_pandas()
-    )
+    out = fold_groups(rd.from_arrow(tbl).map_batches(partial, batch_format="pyarrow"),
+                      "label", {"weight": ("weight", "sum"),
+                                "n_words": (None, "count")})
     # no rounding here: the driver compare rounds both sides to 6dp, and
     # the ~1e-13 float-summation-order delta vs the SQL oracle sits far
     # below that (rounding to 4dp on one side would REINTRODUCE a
     # half-even-vs-half-away divergence instead of removing one)
-    return out.sort_values("label").reset_index(drop=True)
+    return out
 
 
 def _er_word2ner_stats_sql() -> str:
@@ -306,11 +287,9 @@ def er_mention_eval(sf_dir: str):
     (eval.py:90-121,128-254): set-based TP/FN/FP of predicted vs gold
     entity strings per document (type deliberately relaxed, eval.py:177-181),
     accumulated per language with P/R/F1.  Pure Ray: per-doc compare in
-    map_batches against broadcast gold sets, per-lang sums in one groupby."""
+    a url-keyed partition join, per-lang sums folded on the driver."""
     import pyarrow as pa
-    import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     # "filter to relevant tags" exactly like the reference's
     # predict_with_ontology (eval.py:76-88): the gold roster labels only
@@ -361,24 +340,19 @@ def er_mention_eval(sf_dir: str):
             out["fn"].append(len(want - got))
         return pd_.DataFrame(out)
 
-    agg = (
+    agg = fold_groups(
         partition_join(
             [(res["mentions"].map_batches(pred_rows, batch_format="pyarrow"),
               "url"),
              (gold_ds, "url"), (lang_ds, "url")],
-            compare, 64)
-        .groupby("lang")
-        .aggregate(Sum("tp", alias_name="tp"), Sum("fp", alias_name="fp"),
-                   Sum("fn", alias_name="fn"))
-        .to_pandas()
-    )
+            compare, 64),
+        "lang", {c: (c, "sum") for c in ("tp", "fp", "fn")})
     agg["precision"] = (agg["tp"] / (agg["tp"] + agg["fp"]).clip(lower=1)).round(4)
     agg["recall"] = (agg["tp"] / (agg["tp"] + agg["fn"]).clip(lower=1)).round(4)
     agg["f1"] = (
         2 * agg["precision"] * agg["recall"]
         / (agg["precision"] + agg["recall"]).clip(lower=1e-9)
     ).round(4)
-    agg = agg.sort_values("lang").reset_index(drop=True)
     # every corpus language must be represented and score near-perfect on
     # the synthetic gold (observed minimum 0.9963 at sf0.01)
     weak = agg[agg["f1"] < 0.97]

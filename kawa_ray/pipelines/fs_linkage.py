@@ -41,9 +41,8 @@ import os
 import pandas as pd
 
 import ray.data as rd
-from ray.data.aggregate import Sum
 
-from kawa_ray.stages.distinct import partition_reduce
+from kawa_ray.stages.distinct import fold_groups, partition_reduce
 
 # fixed EM spec (part of the operator contract; mirrored by the SQL)
 _LAMBDA0 = 0.1
@@ -158,13 +157,7 @@ def fs_match_weights(sf_dir: str) -> pd.DataFrame:
     # plenty for 25 nation keys and the shape is key-count- not
     # corpus-scaled
     parts = partition_reduce(feats, "blk", _pattern_counts, 16)
-    pat = (
-        parts.groupby(["g_seg", "g_bal", "g_suf"])
-        .aggregate(Sum("n", alias_name="n_pairs"))
-        .to_pandas()
-        .sort_values(["g_seg", "g_bal", "g_suf"])
-        .reset_index(drop=True)
-    )
+    pat = fold_groups(parts, ["g_seg", "g_bal", "g_suf"], {"n_pairs": ("n", "sum")})
     patterns = list(zip(pat["g_seg"].astype(int), pat["g_bal"].astype(int),
                         pat["g_suf"].astype(int)))
     counts = [int(c) for c in pat["n_pairs"]]

@@ -1,7 +1,7 @@
 """Distributed lexicon build: the reference's ``add_to_ontology`` loop
 (/root/reference/ontology/ontology_manager.py:361-548, SURVEY.md §2.1 M5)
 as a Ray Data pipeline — shingle emission in ``map_batches``, per-key
-majority vote in ``groupby(key, bucket).map_groups``, misclassified idxs
+majority vote in a key-partitioned ``partition_reduce``, misclassified idxs
 re-queued to the next (more precise) level by the driver loop.
 
 Bit-for-bit equal to ``LexiconIndex.build``: every order-sensitive fold

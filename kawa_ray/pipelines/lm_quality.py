@@ -42,6 +42,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from kawa_ray.stages.distinct import fold_groups
+
 _REFERENCE_SOURCES = ("src0", "src7")
 _FLAG_MICRO = 3_500_000  # mean nll > 3.5 nats ~ perplexity > 33
 _MICRO = 1_000_000.0
@@ -82,25 +84,21 @@ def _lm_model_ref(docs, reference_sources: tuple[str, ...]):
         vocab = pd.DataFrame({"prev": uniq, "cur": "", "c": 0})
         return pd.concat([bg, vocab], ignore_index=True)
 
-    # streaming driver fold of the per-batch count partials: the folded
-    # dict IS the model artifact (same memory class as the final model),
-    # and skipping the Ray groupby saves its fixed shuffle cost — the
-    # partials are config-sized, not corpus-sized
-    bigram_c: dict[tuple[str, str], int] = {}
-    vocab_set: set[str] = set()
-    for b in docs.map_batches(train_partial, batch_format="pandas").iter_batches(
-            batch_format="pandas"):
-        for p, cu, c in zip(b["prev"], b["cur"], b["c"]):
-            if cu == "":
-                vocab_set.add(p)
-            else:
-                bigram_c[(p, cu)] = bigram_c.get((p, cu), 0) + int(c)
-    vocab = sorted(vocab_set)
+    # streaming driver fold of the per-block count partials: the folded
+    # table IS the model artifact (same memory class as the final model);
+    # the partials are config-sized, not corpus-sized
+    counts = fold_groups(docs.map_batches(train_partial, batch_format="pandas"),
+                         ["prev", "cur"], {"c": ("c", "sum")})
+    is_vocab = counts["cur"] == ""
+    vocab = counts.loc[is_vocab, "prev"].tolist()  # sorted, distinct
+    bigram_c = list(zip(counts.loc[~is_vocab, "prev"].tolist(),
+                        counts.loc[~is_vocab, "cur"].tolist(),
+                        counts.loc[~is_vocab, "c"].tolist()))
     w2i = {w: i for i, w in enumerate(vocab)}
     unk = len(vocab)                     # <unk> id
     vs = len(vocab)
     cprev = np.zeros(vs + 1, dtype=np.int64)
-    for (p, _cu), c in bigram_c.items():
+    for p, _cu, c in bigram_c:
         cprev[w2i[p]] += c
     # Pre-discretised SPARSE cost model, built with math.log (glibc,
     # the same libm DuckDB's LN uses — numpy's SIMD log can differ by
@@ -120,7 +118,7 @@ def _lm_model_ref(docs, reference_sources: tuple[str, ...]):
         (w2i[p] * (vs + 1) + w2i[cu],
          math.floor(-math.log((c + 1.0) / (cprev[w2i[p]] + vs + 1.0))
                     * 1_000_000.0))
-        for (p, cu), c in bigram_c.items())
+        for p, cu, c in bigram_c)
     seen_keys = np.fromiter((k for k, _ in seen), dtype=np.int64, count=len(seen))
     seen_vals = np.fromiter((v for _, v in seen), dtype=np.int64, count=len(seen))
     return ray.put((w2i, unk, vs, default, seen_keys, seen_vals))
@@ -389,14 +387,8 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 10):
                 else pd.DataFrame({"prev": [], "cur": [], "c": []}))
 
     # driver fold of the bigram-vocabulary-sized partials (no shuffle)
-    cmap: dict[tuple[str, str], int] = {}
-    for b in docs.map_batches(count_partial, batch_format="pandas").iter_batches(
-            batch_format="pandas"):
-        for p, cu, c in zip(b["prev"], b["cur"], b["c"]):
-            cmap[(p, cu)] = cmap.get((p, cu), 0) + int(c)
-    counts = pd.DataFrame(
-        [(p, cu, c) for (p, cu), c in cmap.items()],
-        columns=["prev", "cur", "c"])
+    counts = fold_groups(docs.map_batches(count_partial, batch_format="pandas"),
+                         ["prev", "cur"], {"c": ("c", "sum")})
     uni = counts[counts["cur"] == ""].set_index("prev")["c"]
     bg = counts[counts["cur"] != ""].copy()
     n_uni = int(uni.sum())

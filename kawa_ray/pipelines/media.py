@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Mean, Sum
 
 from kawa_ray.pipelines.linkage import _pool_size
+from kawa_ray.stages.distinct import fold_groups
 from kawa_ray.stages.multimodal import (
     MediaResizePlan,
     media_feature_stage,
@@ -33,28 +34,26 @@ def _media_ds(sf_dir: str) -> rd.Dataset:
     return docs.map_batches(synth, batch_format="pyarrow")
 
 
+_SIZE_CENSUS = {"n_items": (None, "count"), "avg_width": ("width", "sum"),
+                "avg_height": ("height", "sum"),
+                "max_frames": ("n_frames", "max"),
+                "total_bytes": ("n_bytes", "sum")}
+
+
+def _mean_sizes(out):
+    """AVG(width), AVG(height) from the width/height sums: SUM / COUNT,
+    floor-discretised (not round: Python/pandas round half-even, SQL
+    ROUND half-away — floor matches bit-for-bit on both sides)."""
+    for c in ("avg_width", "avg_height"):
+        out[c] = np.floor(out[c] / out["n_items"] * 1000) / 1000
+    return out
+
+
 def media_feature_census(sf_dir: str):
     """decode(stub) -> features -> per media_type census.  The binary
     payload column is dropped by the feature stage before the shuffle."""
     feats = media_feature_stage(_media_ds(sf_dir), batch_size=64, concurrency=_pool_size(4))
-    out = (
-        feats.groupby("media_type")
-        .aggregate(
-            Count(alias_name="n_items"),
-            Mean("width", alias_name="avg_width"),
-            Mean("height", alias_name="avg_height"),
-            Max("n_frames", alias_name="max_frames"),
-            Sum("n_bytes", alias_name="total_bytes"),
-        )
-        .to_pandas()
-    )
-    import numpy as np
-
-    for c in ("avg_width", "avg_height"):
-        # floor discretisation, not round: Python/pandas round half-even,
-        # SQL ROUND half-away — floor matches bit-for-bit on both sides
-        out[c] = np.floor(out[c] * 1000) / 1000
-    return out.sort_values("media_type").reset_index(drop=True)
+    return _mean_sizes(fold_groups(feats, "media_type", _SIZE_CENSUS))
 
 
 # header fields regenerate in SQL from md5_number_lower (the payload
@@ -125,28 +124,12 @@ def media_census_plan(sf_dir: str, max_side: int = 64):
                 "n_frames": t.column("n_frames"),
                 "n_bytes": t.column("n_bytes"),
                 "needs_resize": pc.cast(shrunk, pa.int64()),
-                "n": pa.array([1] * t.num_rows, pa.int64()),
             }
         )
 
-    out = (
-        planned.map_batches(flag, batch_format="pyarrow")
-        .groupby("media_type")
-        .aggregate(
-            Count(alias_name="n_items"),
-            Mean("width", alias_name="avg_width"),
-            Mean("height", alias_name="avg_height"),
-            Max("n_frames", alias_name="max_frames"),
-            Sum("n_bytes", alias_name="total_bytes"),
-            Sum("needs_resize", alias_name="n_resized"),
-        )
-        .to_pandas()
-    )
-    import numpy as np
-
-    for c in ("avg_width", "avg_height"):
-        out[c] = np.floor(out[c] * 1000) / 1000
-    return out.sort_values("media_type").reset_index(drop=True)
+    return _mean_sizes(fold_groups(
+        planned.map_batches(flag, batch_format="pyarrow"), "media_type",
+        {**_SIZE_CENSUS, "n_resized": ("needs_resize", "sum")}))
 
 
 MEDIA_CENSUS_PLAN_SQL = _MEDIA_FIELDS_SQL + """
@@ -180,14 +163,9 @@ def media_resize_plan(sf_dir: str, max_side: int = 64):
             {
                 "media_type": t.column("media_type"),
                 "needs_resize": pc.cast(shrunk, pa.int64()),
-                "n": pa.array([1] * t.num_rows, pa.int64()),
             }
         )
 
-    out = (
-        planned.map_batches(flag, batch_format="pyarrow")
-        .groupby("media_type")
-        .aggregate(Sum("needs_resize", alias_name="n_resized"), Sum("n", alias_name="n_items"))
-        .to_pandas()
-    )
-    return out.sort_values("media_type").reset_index(drop=True)
+    return fold_groups(planned.map_batches(flag, batch_format="pyarrow"),
+                       "media_type", {"n_resized": ("needs_resize", "sum"),
+                                      "n_items": (None, "count")})

@@ -25,9 +25,9 @@ import pandas as pd
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from kawa_ray.functions.minhash import md5_low64
+from kawa_ray.stages.distinct import fold_groups
 
 
 def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
@@ -105,20 +105,10 @@ def source_mixture_plan(sf_dir: str):
             pc.utf8_trim_whitespace(t.column("text")), r"\s+"))
         empty = pc.equal(pc.utf8_trim_whitespace(t.column("text")), "")
         toks = pc.if_else(empty, pa.scalar(0, pa.int32()), toks)
-        tt = pa.table({"source": t.column("source"),
-                       "n_tokens": pc.cast(toks, pa.int64()),
-                       "n_docs": pa.array([1] * t.num_rows, pa.int64())})
-        return tt.group_by("source").aggregate(
-            [("n_tokens", "sum"), ("n_docs", "sum")]
-        ).rename_columns(["source", "n_tokens", "n_docs"])
+        return pa.table({"source": t.column("source"), "n_tokens": toks})
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum("n_tokens", alias_name="n_tokens"),
-                   Sum("n_docs", alias_name="n_docs"))
-        .to_pandas()
-    )
+    out = fold_groups(ds.map_batches(partial, batch_format="pyarrow"), "source",
+                      {"n_tokens": ("n_tokens", "sum"), "n_docs": (None, "count")})
     total = int(out["n_tokens"].sum())
     n_sources = len(out)
     # integer micro-rate: floor((total/n_sources) * 1e6 / source_tokens)
@@ -127,10 +117,7 @@ def source_mixture_plan(sf_dir: str):
         1_000_000,
         target_micro // np.maximum(out["n_tokens"].to_numpy(np.int64), 1),
     ).astype("int64")
-    out["n_tokens"] = out["n_tokens"].astype("int64")
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out[["source", "n_docs", "n_tokens", "rate_micro"]].sort_values(
-        "source").reset_index(drop=True)
+    return out[["source", "n_docs", "n_tokens", "rate_micro"]]
 
 
 SOURCE_MIXTURE_SQL = """
@@ -194,20 +181,10 @@ def pack_sequences_plan(sf_dir: str, seq_len: int = 512, range_size: int = 4096,
     rows = ds.map_batches(doc_rows, batch_format="pyarrow")
 
     # pass 1: per-range token sums -> global offsets (driver fold over
-    # one partial row per range per batch)
-    range_sums: dict[int, int] = {}
-    for b in rows.map_batches(
-            lambda t: t.group_by("rng").aggregate([("n_tok", "sum")]).rename_columns(
-                ["rng", "s"]),
-            batch_format="pyarrow").iter_batches(batch_format="pandas"):
-        for r, s in zip(b["rng"], b["s"]):
-            range_sums[int(r)] = range_sums.get(int(r), 0) + int(s)
-    offsets: dict[int, int] = {}
-    acc = 0
-    for r in sorted(range_sums):
-        offsets[r] = acc
-        acc += range_sums[r]
-    off_ref = ray.put(offsets)
+    # one partial row per range per block)
+    sums = fold_groups(rows, "rng", {"s": ("n_tok", "sum")})
+    off_ref = ray.put({int(r): int(o) for r, o in
+                       zip(sums["rng"], sums["s"].cumsum() - sums["s"])})
 
     def per_partition(g: pd.DataFrame, _ref=off_ref) -> pd.DataFrame:
         offs = ray.get(_ref)
@@ -304,31 +281,17 @@ def source_divergence(sf_dir: str):
                              "token": tok_u[uk % len(tok_u)],
                              "c": c.astype(np.int64)})
 
-    counts: dict[tuple[str, str], int] = {}
-    for b in docs.map_batches(count_partial, batch_format="pandas").iter_batches(
-            batch_format="pandas"):
-        for s, t, c in zip(b["source"], b["token"], b["c"]):
-            counts[(s, t)] = counts.get((s, t), 0) + int(c)
-    n_s: dict[str, int] = {}
-    c_g: dict[str, int] = {}
-    for (s, t), c in counts.items():
-        n_s[s] = n_s.get(s, 0) + c
-        c_g[t] = c_g.get(t, 0) + c
-    n = sum(n_s.values())
-    rows = []
-    for s in sorted(n_s):
-        kl_nano = 0
-        for (src, t), c in counts.items():
-            if src != s:
-                continue
-            ratio = (float(c) * float(n)) / (float(n_s[s]) * float(c_g[t]))
-            kl_nano += math.floor(
-                (float(c) / float(n_s[s])) * math.log(ratio) * 1_000_000_000.0)
-        rows.append((s, n_s[s], kl_nano))
-    out = pd.DataFrame(rows, columns=["source", "n_tokens", "kl_nano"])
-    out["n_tokens"] = out["n_tokens"].astype("int64")
-    out["kl_nano"] = out["kl_nano"].astype("int64")
-    return out.reset_index(drop=True)
+    counts = fold_groups(docs.map_batches(count_partial, batch_format="pandas"),
+                         ["source", "token"], {"c": ("c", "sum")})
+    n_s = counts["source"].map(counts.groupby("source")["c"].sum())
+    c_g = counts["token"].map(counts.groupby("token")["c"].sum())
+    n = float(counts["c"].sum())
+    counts["kl"] = [
+        math.floor((c / ns) * math.log((c * n) / (ns * cg)) * 1_000_000_000.0)
+        for c, ns, cg in zip(counts["c"].astype(float), n_s.astype(float),
+                             c_g.astype(float))]
+    return counts.groupby("source", as_index=False).agg(
+        n_tokens=("c", "sum"), kl_nano=("kl", "sum"))
 
 
 SOURCE_DIVERGENCE_SQL = """

@@ -3,7 +3,7 @@ url/warc_ts/html/text/lang — BASELINE.json input_hint): the standard
 Common-Crawl-pipeline censuses that precede any content work.
 
 Both queries are fully vectorised (pyarrow compute / pandas datetime
-kernels inside map_batches, per-batch partials, one tiny groupby) and
+kernels inside map_batches, per-block partials folded on the driver) and
 carry exact DuckDB oracles that recompute over the same parquet files
 (the EXTRA pytest tier runs at sf0.001; the oracle SQL is built at
 import against that corpus's path, mirroring er_word2ner_stats's
@@ -21,6 +21,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from kawa_ray.sources.pages import ensure_pages, sf_of_dir
+from kawa_ray.stages.distinct import fold_groups, partition_join, partition_reduce
 
 # the reference regex for the host part; shared verbatim with the SQL
 # oracle (both engines evaluate RE2-compatible syntax identically)
@@ -62,8 +63,6 @@ def page_domain_census(sf_dir: str) -> pd.DataFrame:
     # per-domain census and a per-partition top-N cut in-batch — each
     # domain is whole in one partition, so the global top-N survives
     # and only partitions x N rows reach the driver
-    from kawa_ray.stages.distinct import partition_reduce
-
     def domain_top(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["domain", "lang"], sort=False, as_index=False)["n"]
                .sum()
@@ -86,23 +85,16 @@ def page_domain_census(sf_dir: str) -> pd.DataFrame:
 
 def crawl_hourly_census(sf_dir: str) -> pd.DataFrame:
     """Pages per crawl hour-of-day (warc_ts) x language — the crawl-rate
-    profile.  Per-batch partials (<= 24 x langs rows), one groupby."""
-    from ray.data.aggregate import Sum
-
+    profile.  Per-block partials (<= 24 x langs rows) folded on the
+    driver."""
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.assign(hour=df["warc_ts"].dt.hour.astype("int64"))
-             .groupby(["hour", "lang"], sort=False).size().reset_index(name="n"))
-        return g
+        return pd.DataFrame({"hour": df["warc_ts"].dt.hour.astype("int64"),
+                             "lang": df["lang"]})
 
-    out = (
+    return fold_groups(
         _read(sf_dir, ["warc_ts", "lang"])
-        .map_batches(partial, batch_format="pandas")
-        .groupby(["hour", "lang"])
-        .aggregate(Sum("n", alias_name="n_pages"))
-        .to_pandas()
-    )
-    out["n_pages"] = out["n_pages"].astype("int64")
-    return out.sort_values(["hour", "lang"]).reset_index(drop=True)
+        .map_batches(partial, batch_format="pandas"),
+        ["hour", "lang"], {"n_pages": (None, "count")})
 
 
 def _pages_path_sql() -> str:
@@ -184,24 +176,11 @@ def url_filter_census(sf_dir: str) -> pd.DataFrame:
         df = pd.DataFrame({"domain": _domains(t),
                            "lang": t.column("lang").to_pylist()})
         df["blocked"] = df["domain"].isin(bl).astype("int64")
-        return (df.assign(n_pages=1)
-                .groupby("lang", as_index=False)
-                .agg(n_pages=("n_pages", "sum"),
-                     n_blocked=("blocked", "sum")))
+        return df[["lang", "blocked"]]
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        _read(sf_dir, ["url", "lang"])
-        .map_batches(census, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_pages", alias_name="n_pages"),
-                   Sum("n_blocked", alias_name="n_blocked"))
-        .to_pandas()
-    )
-    out["n_pages"] = out["n_pages"].astype("int64")
-    out["n_blocked"] = out["n_blocked"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(
+        _read(sf_dir, ["url", "lang"]).map_batches(census, batch_format="pyarrow"),
+        "lang", {"n_pages": (None, "count"), "n_blocked": ("blocked", "sum")})
 
 
 def line_dedup_census(sf_dir: str) -> pd.DataFrame:
@@ -233,7 +212,6 @@ def line_dedup_census(sf_dir: str) -> pd.DataFrame:
     import numpy as np
 
     from kawa_ray.functions.minhash import md5_low64_many
-    from kawa_ray.stages.distinct import partition_reduce
 
     def explode(t: pa.Table) -> pd.DataFrame:
         import pyarrow.compute as pc
@@ -264,22 +242,13 @@ def line_dedup_census(sf_dir: str) -> pd.DataFrame:
           .agg(n_lines=("r", "size"), n_removed=("r", "sum"),
                chars_removed=("c", "sum")))
 
-    from ray.data.aggregate import Sum
-
-    out = (
+    return fold_groups(
         partition_reduce(
             _read(sf_dir, ["url", "text", "lang"])
             .map_batches(explode, batch_format="pyarrow"),
-            "h", census_part)
-        .groupby("lang")
-        .aggregate(Sum("n_lines", alias_name="n_lines"),
-                   Sum("n_removed", alias_name="n_removed"),
-                   Sum("chars_removed", alias_name="chars_removed"))
-        .to_pandas()
-    )
-    for c in ("n_lines", "n_removed", "chars_removed"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+            "h", census_part),
+        "lang", {c: (c, "sum") for c in
+                 ("n_lines", "n_removed", "chars_removed")})
 
 
 def _line_dedup_sql() -> str:
@@ -324,7 +293,6 @@ def cc_prefilter_census(sf_dir: str) -> pd.DataFrame:
     import ray
 
     from kawa_ray.functions.minhash import md5_low64_many
-    from kawa_ray.stages.distinct import partition_reduce
 
     def _domains(t: pa.Table) -> np.ndarray:
         import pyarrow.compute as pc
@@ -391,22 +359,13 @@ def cc_prefilter_census(sf_dir: str) -> pd.DataFrame:
               .assign(n_lines_kept=0, chars_kept=0))
         return pd.concat([per_lang, pg], ignore_index=True)
 
-    from ray.data.aggregate import Sum
-
-    out = (
+    return fold_groups(
         partition_reduce(
             _read(sf_dir, ["url", "text", "lang"])
             .map_batches(explode_kept, batch_format="pyarrow"),
-            "h", census_part)
-        .groupby("lang")
-        .aggregate(Sum("n_pages", alias_name="n_pages"),
-                   Sum("n_lines_kept", alias_name="n_lines_kept"),
-                   Sum("chars_kept", alias_name="chars_kept"))
-        .to_pandas()
-    )
-    for c in ("n_pages", "n_lines_kept", "chars_kept"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+            "h", census_part),
+        "lang", {c: (c, "sum") for c in
+                 ("n_pages", "n_lines_kept", "chars_kept")})
 
 
 def _cc_prefilter_sql() -> str:
@@ -468,8 +427,8 @@ def pii_scrub_census(sf_dir: str) -> pd.DataFrame:
     ORIGINAL text (patterns counted independently, not cumulatively —
     the census convention; a span matching two patterns counts under
     both).  Fully vectorised single pass: RE2 count + replace kernels
-    per batch, per-lang partials, one tiny groupby — no shuffle on page
-    cardinality, nothing driver-side."""
+    per batch, per-lang partials folded on the driver — no shuffle on
+    page cardinality."""
 
     def partial(t: pa.Table) -> pd.DataFrame:
         import numpy as np
@@ -491,31 +450,15 @@ def pii_scrub_census(sf_dir: str) -> pd.DataFrame:
         df = pd.DataFrame(cols)
         df["chars_redacted"] = redacted
         df["with_pii"] = any_hit.astype("int64")
-        df["n_pages"] = 1
-        return (df.groupby("lang", as_index=False)
-                .agg(n_pages=("n_pages", "sum"),
-                     n_pages_with_pii=("with_pii", "sum"),
-                     emails=("emails", "sum"), ipv4s=("ipv4s", "sum"),
-                     phones=("phones", "sum"),
-                     chars_redacted=("chars_redacted", "sum")))
+        return df
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        _read(sf_dir, ["text", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_pages", alias_name="n_pages"),
-                   Sum("n_pages_with_pii", alias_name="n_pages_with_pii"),
-                   Sum("emails", alias_name="emails"),
-                   Sum("ipv4s", alias_name="ipv4s"),
-                   Sum("phones", alias_name="phones"),
-                   Sum("chars_redacted", alias_name="chars_redacted"))
-        .to_pandas()
-    )
-    for c in out.columns[1:]:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(
+        _read(sf_dir, ["text", "lang"]).map_batches(partial, batch_format="pyarrow"),
+        "lang", {"n_pages": (None, "count"),
+                 "n_pages_with_pii": ("with_pii", "sum"),
+                 "emails": ("emails", "sum"), "ipv4s": ("ipv4s", "sum"),
+                 "phones": ("phones", "sum"),
+                 "chars_redacted": ("chars_redacted", "sum")})
 
 
 def _pii_scrub_sql() -> str:
@@ -627,7 +570,6 @@ def url_canonicalize_census(sf_dir: str) -> pd.DataFrame:
     are already canonical (n_raw == n_canonical — the oracle pins
     that); the messy-URL rules are pinned by adversarial fixtures in
     tests/test_er_round5.py."""
-    from kawa_ray.stages.distinct import partition_reduce
 
     def canon_rows(t: pa.Table) -> pd.DataFrame:
         # NULL url/lang normalize to '' on both sides (COALESCE in the
@@ -787,7 +729,6 @@ def paragraph_neardup_census(sf_dir: str, num_perm: int = _PN_PERM,
 
     from kawa_ray.functions.minhash import md5_low64_per_doc, word_ngrams
     from kawa_ray.pipelines.docs import _WS, _partitioned_band_pairs
-    from kawa_ray.stages.distinct import partition_join
     from kawa_ray.stages.spill import pinned_or_spilled
 
     paras = _para_frames(sf_dir)
@@ -1012,8 +953,6 @@ def link_graph_census(sf_dir: str) -> pd.DataFrame:
     partials pre-aggregate before the single eid-hash exchange, the
     per-entity degree and the histogram fold inside the partition, and
     only (in_degree, count) partials reach the driver."""
-    from kawa_ray.stages.distinct import fold_counts, partition_reduce
-
     def partial(t: pa.Table) -> pd.DataFrame:
         html = pd.Series(
             [b.decode("utf-8") if b is not None else ""
@@ -1032,9 +971,9 @@ def link_graph_census(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"in_degree": hist.index.to_numpy("int64"),
                              "n_entities": hist.to_numpy("int64")})
 
-    return fold_counts(partition_reduce(
+    return fold_groups(partition_reduce(
         _read(sf_dir, ["html"]).map_batches(partial, batch_format="pyarrow"),
-        "eid", degree_part), "in_degree", "n_entities")
+        "eid", degree_part), "in_degree", {"n_entities": ("n_entities", "sum")})
 
 
 def _link_graph_sql() -> str:
@@ -1076,8 +1015,6 @@ def anchor_alias_census(sf_dir: str) -> pd.DataFrame:
     pairs, distinct-alias counts and the histogram fold inside the
     partition, and only (n_aliases, count) partials reach the
     driver."""
-    from kawa_ray.stages.distinct import fold_counts, partition_reduce
-
     def partial(t: pa.Table) -> pd.DataFrame:
         html = pd.Series(
             [b.decode("utf-8") if b is not None else ""
@@ -1101,9 +1038,9 @@ def anchor_alias_census(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_aliases": hist.index.to_numpy("int64"),
                              "n_entities": hist.to_numpy("int64")})
 
-    return fold_counts(partition_reduce(
+    return fold_groups(partition_reduce(
         _read(sf_dir, ["html"]).map_batches(partial, batch_format="pyarrow"),
-        "eid", fold), "n_aliases", "n_entities")
+        "eid", fold), "n_aliases", {"n_entities": ("n_entities", "sum")})
 
 
 def _anchor_alias_sql() -> str:
@@ -1156,7 +1093,6 @@ def domain_line_dedup_census(sf_dir: str) -> pd.DataFrame:
     import numpy as np
 
     from kawa_ray.functions.minhash import md5_low64_many
-    from kawa_ray.stages.distinct import partition_reduce
 
     def explode(t: pa.Table) -> pd.DataFrame:
         import pyarrow.compute as pc
@@ -1190,22 +1126,13 @@ def domain_line_dedup_census(sf_dir: str) -> pd.DataFrame:
                n_removed_global=("rg", "sum"),
                n_removed_domain=("rd", "sum")))
 
-    from ray.data.aggregate import Sum
-
-    out = (
+    return fold_groups(
         partition_reduce(
             _read(sf_dir, ["url", "text", "lang"])
             .map_batches(explode, batch_format="pyarrow"),
-            "h", census_part)
-        .groupby("lang")
-        .aggregate(Sum("n_lines", alias_name="n_lines"),
-                   Sum("n_removed_global", alias_name="n_removed_global"),
-                   Sum("n_removed_domain", alias_name="n_removed_domain"))
-        .to_pandas()
-    )
-    for c in ("n_lines", "n_removed_global", "n_removed_domain"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+            "h", census_part),
+        "lang", {c: (c, "sum") for c in
+                 ("n_lines", "n_removed_global", "n_removed_domain")})
 
 
 

@@ -22,7 +22,7 @@ sides (Python slicing == DuckDB SUBSTRING semantics).
 Scale shape (``_census``): ONE hash-partition exchange on the block
 key — pairs are generated AND scored inside each partition, only
 per-value partial counts leave (histogram rows, never pairs), folded on
-the driver by ``fold_counts``; the string kernels are numpy sweeps
+the driver by ``fold_groups``; the string kernels are numpy sweeps
 vectorised across the pair axis, not per-pair Python loops."""
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import pandas as pd
 
 import ray.data as rd
 
-from kawa_ray.stages.distinct import fold_counts, partition_join, partition_reduce
+from kawa_ray.stages.distinct import fold_groups, partition_join, partition_reduce
 from kawa_ray.stages.pairs import block_pairs
 
 _WS = re.compile(r"\s+")
@@ -91,8 +91,8 @@ def _census(rows: rd.Dataset, max_members: int, col: str,
         v, n = np.unique(vals, return_counts=True)
         return pd.DataFrame({col: v, "n_pairs": n.astype(np.int64)})
 
-    return fold_counts(partition_reduce(rows, "k", part, _PARTITIONS),
-                       col, "n_pairs")
+    return fold_groups(partition_reduce(rows, "k", part, _PARTITIONS),
+                       col, {"n_pairs": ("n_pairs", "sum")})
 
 
 def _encoded(g: pd.DataFrame) -> list[bytes]:

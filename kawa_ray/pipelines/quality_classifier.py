@@ -46,9 +46,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Sum
-
 from kawa_ray.pipelines.docs import _STOP_EN, _read_docs
+from kawa_ray.stages.distinct import fold_groups
 from kawa_ray.state.checkpoint import ShardWorker
 
 _POSITIVE_SOURCES = ("src0", "src1", "src2", "src3", "src4")
@@ -174,22 +173,12 @@ def quality_classifier_census(sf_dir: str):
         out = pd.DataFrame({"lang": df["lang"], "micro": micro})
         # integer cross-multiplied mean comparison — no float threshold
         out["sel"] = (out["micro"] * nn > sw).astype("int64")
-        return (out.assign(n_docs=1)
-                .groupby("lang", as_index=False)
-                .agg(n_docs=("n_docs", "sum"), n_selected=("sel", "sum"),
-                     sum_score_micro=("micro", "sum")))
+        return out
 
-    out = (
-        docs_score.map_batches(census, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_selected", alias_name="n_selected"),
-                   Sum("sum_score_micro", alias_name="sum_score_micro"))
-        .to_pandas()
-    )
-    for c in ("n_docs", "n_selected", "sum_score_micro"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+    return fold_groups(docs_score.map_batches(census, batch_format="pyarrow"),
+                       "lang", {"n_docs": (None, "count"),
+                                "n_selected": ("sel", "sum"),
+                                "sum_score_micro": ("micro", "sum")})
 
 
 class ClassifyWorker(ShardWorker):

@@ -3,11 +3,10 @@ grouped aggregates, broadcast joins, top-k, sort, filter, distinct,
 window dedup (SURVEY.md §2.6 coverage: B2, B7, B9, M4 mappings).
 
 Every query takes ``sf_dir`` and returns a small result; inputs are
-column-pruned at the read and aggregations are pre-combined per batch
-inside ``map_batches`` before the (tiny) global ``groupby`` shuffle —
-the partial-aggregation pattern that keeps the wide step small at any
-scale.  Float aggregates are rounded (2 decimals) in lockstep with the
-oracle SQL.
+column-pruned at the read and grouped aggregates run as per-block
+partials folded on the driver (``stages/distinct.fold_groups``) — no
+shuffle for a key-cardinality result at any scale.  Float aggregates
+are rounded (2 decimals) in lockstep with the oracle SQL.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from kawa_ray.stages.distinct import (
+    fold_groups,
     partition_distinct,
     partition_join,
     partition_reduce,
@@ -40,30 +39,18 @@ def q1_pricing_summary(sf_dir: str):
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df["revenue"] = df["l_extendedprice"] * (1 - df["l_discount"])
-        g = df.groupby(["l_returnflag", "l_linestatus"], sort=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            sum_price=("l_extendedprice", "sum"),
-            revenue=("revenue", "sum"),
-            n=("l_quantity", "size"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return t.append_column("revenue", pc.multiply(
+            t.column("l_extendedprice"), pc.subtract(1, t.column("l_discount"))))
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_price", alias_name="sum_price"),
-            Sum("revenue", alias_name="revenue"),
-            Sum("n", alias_name="n"),
-        )
-        .to_pandas()
-    )
+    out = fold_groups(ds.map_batches(partial, batch_format="pyarrow"),
+                      ["l_returnflag", "l_linestatus"],
+                      {"sum_qty": ("l_quantity", "sum"),
+                       "sum_price": ("l_extendedprice", "sum"),
+                       "revenue": ("revenue", "sum"),
+                       "n": (None, "count")})
     for c in ("sum_qty", "sum_price", "revenue"):
         out[c] = out[c].round(2)
-    return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+    return out
 
 
 Q1_SQL = """
@@ -146,14 +133,11 @@ LIMIT 10
 
 
 def orders_by_priority(sf_dir: str):
-    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
-    out = (
-        ds.groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n"), Sum("o_totalprice", alias_name="total"))
-        .to_pandas()
-    )
+    out = fold_groups(_read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"]),
+                      "o_orderpriority",
+                      {"n": (None, "count"), "total": ("o_totalprice", "sum")})
     out["total"] = out["total"].round(2)
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    return out
 
 
 ORDERS_BY_PRIORITY_SQL = """
@@ -173,20 +157,14 @@ def nation_customer_balance(sf_dir: str):
         m = ray.get(_ref)
         df = t.to_pandas()
         df["n_name"] = df["c_nationkey"].map(m)
-        g = df.groupby("n_name", sort=False).agg(
-            n_customers=("c_acctbal", "size"), acctbal=("c_acctbal", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(df[["n_name", "c_acctbal"]],
+                                    preserve_index=False)
 
-    out = (
-        cust.map_batches(attach, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("n_customers", alias_name="n_customers"),
-                   Sum("acctbal", alias_name="acctbal"))
-        .to_pandas()
-    )
+    out = fold_groups(cust.map_batches(attach, batch_format="pyarrow"), "n_name",
+                      {"n_customers": (None, "count"),
+                       "acctbal": ("c_acctbal", "sum")})
     out["acctbal"] = out["acctbal"].round(2)
-    return out.sort_values("n_name").reset_index(drop=True)
+    return out
 
 
 NATION_CUSTOMER_BALANCE_SQL = """
@@ -250,18 +228,13 @@ def distinct_suppliers_per_flag(sf_dir: str):
 
     # suppkey is data-cardinality: the shared partitioned distinct with
     # the per-flag partial count fused into the same shuffle
-    out = (
+    return fold_groups(
         partition_distinct(
             ds.map_batches(pairs, batch_format="pyarrow"),
             ["l_returnflag", "l_suppkey"], key_col="l_suppkey",
             then=lambda g: (g.groupby("l_returnflag", as_index=False).size()
-                            .rename(columns={"size": "n"})))
-        .groupby("l_returnflag")
-        .aggregate(Sum("n", alias_name="n_suppliers"))
-        .to_pandas()
-    )
-    out["n_suppliers"] = out["n_suppliers"].astype("int64")
-    return out.sort_values("l_returnflag").reset_index(drop=True)
+                            .rename(columns={"size": "n"}))),
+        "l_returnflag", {"n_suppliers": ("n", "sum")})
 
 
 DISTINCT_SUPPLIERS_SQL = """
@@ -271,16 +244,13 @@ FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag
 
 
 def events_by_type(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-    out = (
-        ds.groupby("event_type")
-        .aggregate(Count(alias_name="n"), Sum("value", alias_name="total"),
-                   Min("value", alias_name="vmin"), Max("value", alias_name="vmax"))
-        .to_pandas()
-    )
+    out = fold_groups(_read(sf_dir, "events", ["event_type", "value"]),
+                      "event_type",
+                      {"n": (None, "count"), "total": ("value", "sum"),
+                       "vmin": ("value", "min"), "vmax": ("value", "max")})
     for c in ("total", "vmin", "vmax"):
         out[c] = out[c].round(2)
-    return out.sort_values("event_type").reset_index(drop=True)
+    return out
 
 
 EVENTS_BY_TYPE_SQL = """
@@ -298,17 +268,10 @@ def hourly_event_counts(sf_dir: str):
     def bucket(t: pa.Table) -> pa.Table:
         us = t.column("ts").cast(pa.int64())
         hour = pc.divide(us, 3_600_000_000)
-        out = pa.table({"hour": hour, "event_type": t.column("event_type")})
-        df = out.to_pandas().groupby(["hour", "event_type"], sort=False).size().reset_index(name="n")
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.table({"hour": hour, "event_type": t.column("event_type")})
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby(["hour", "event_type"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    return out.sort_values(["hour", "event_type"]).reset_index(drop=True)
+    return fold_groups(ds.map_batches(bucket, batch_format="pyarrow"),
+                       ["hour", "event_type"], {"n": (None, "count")})
 
 
 HOURLY_EVENTS_SQL = """
@@ -374,8 +337,8 @@ ORDER BY user_id, event_type
 def user_sessions(sf_dir: str, gap_minutes: int = 30):
     """Gap-based sessionisation: per-user event stream split where the
     inter-event gap exceeds ``gap_minutes`` — the windowed-aggregate shape
-    (no window op in the reference, composed here as
-    groupby(user).map_groups over time-sorted rows; the oracle uses SQL
+    (no window op in the reference, composed here as a user-keyed
+    ``partition_reduce`` over time-sorted rows; the oracle uses SQL
     LAG/SUM windows)."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -439,20 +402,16 @@ def region_revenue(sf_dir: str):
         n2r, c2n = ray.get(_ref)
         df = t.to_pandas()
         df["region"] = df["o_custkey"].map(c2n).map(n2r).fillna("UNKNOWN")
-        g = df.groupby("region", sort=False).agg(
-            revenue=("o_totalprice", "sum"), n_orders=("o_orderkey", "count")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(
+            df[["region", "o_totalprice", "o_orderkey"]], preserve_index=False)
 
-    out = (
+    out = fold_groups(
         _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("region")
-        .aggregate(Sum("revenue", alias_name="revenue"), Sum("n_orders", alias_name="n_orders"))
-        .to_pandas()
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        "region", {"revenue": ("o_totalprice", "sum"),
+                   "n_orders": ("o_orderkey", "count")})
     out["revenue"] = out["revenue"].round(2)
-    return out.sort_values("region").reset_index(drop=True)
+    return out
 
 
 REGION_REVENUE_SQL = """
@@ -476,12 +435,10 @@ def event_value_quantiles(sf_dir: str, n_bins: int = 4096):
     tests/test_quantiles.py)."""
     import numpy as np
     import ray
-    from ray.data.aggregate import Max, Min
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
-    mm = ds.groupby("event_type").aggregate(
-        Min("value", alias_name="lo"), Max("value", alias_name="hi")
-    ).to_pandas()
+    mm = fold_groups(ds, "event_type",
+                     {"lo": ("value", "min"), "hi": ("value", "max")})
     bounds = {r["event_type"]: (r["lo"], r["hi"]) for _, r in mm.iterrows()}
     b_ref = ray.put(bounds)
 
@@ -502,12 +459,8 @@ def event_value_quantiles(sf_dir: str, n_bins: int = 4096):
             out["n"] += counts.tolist()
         return pa.Table.from_pydict(out)
 
-    agg = (
-        ds.map_batches(hist, batch_format="pyarrow")
-        .groupby(["event_type", "bin"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    agg = fold_groups(ds.map_batches(hist, batch_format="pyarrow"),
+                      ["event_type", "bin"], {"n": ("n", "sum")})
     rows = []
     for et, g in agg.groupby("event_type"):
         lo, hi = bounds[et]
@@ -567,7 +520,8 @@ ORDER BY event_type
 
 def approx_distinct_users(sf_dir: str, b: int = 12):
     """HyperLogLog distinct-user estimate per event_type: per-batch
-    register arrays merged by elementwise max (the mergeable-sketch
+    register arrays merged by elementwise max in one event_type-keyed
+    ``partition_reduce`` (the mergeable-sketch
     pattern for COUNT DISTINCT over data too large for exact sets);
     2^b registers -> ~1.04/sqrt(2^b) ≈ 1.6% relative error.  Accuracy
     gated vs exact DuckDB counts in tests/test_quantiles.py; the sketch
@@ -575,9 +529,6 @@ def approx_distinct_users(sf_dir: str, b: int = 12):
     md5 bytes little-endian == DuckDB ``md5_number_lower``)."""
     import hashlib
     import struct
-
-    import numpy as np
-    import ray
 
     m = 1 << b
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
@@ -603,25 +554,23 @@ def approx_distinct_users(sf_dir: str, b: int = 12):
                                    ("registers", pa.list_(pa.int8(), m))])
         )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        regs = np.maximum.reduce([np.asarray(r, dtype=np.int8) for r in g["registers"]])
+    def estimate(registers) -> int:
+        regs = np.maximum.reduce([np.asarray(r, dtype=np.int8) for r in registers])
         # standard HLL estimator with small-range correction
         alpha = 0.7213 / (1 + 1.079 / m)
         est = alpha * m * m / np.sum(2.0 ** -regs.astype(np.float64))
         zeros = int((regs == 0).sum())
         if est <= 2.5 * m and zeros:
             est = m * np.log(m / zeros)
-        return pd.DataFrame({"event_type": [g["event_type"].iloc[0]],
-                             "approx_users": [int(round(est))]})
+        return int(round(est))
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        per_type = g.groupby("event_type", sort=False)["registers"]
+        return pd.DataFrame([(et, estimate(r)) for et, r in per_type],
+                            columns=["event_type", "approx_users"])
+
+    out = partition_reduce(ds.map_batches(partial, batch_format="pyarrow"),
+                           "event_type", merge).to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -710,19 +659,14 @@ def events_window_counts(sf_dir: str, window_sec: int = 900):
         df["window_start"] = pd.to_datetime(
             (epoch // window_sec) * window_sec, unit="s"
         )
-        g = df.groupby(["event_type", "window_start"], sort=False).agg(
-            n=("value", "size"), value_sum=("value", "sum")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(df[["event_type", "window_start", "value"]],
+                                    preserve_index=False)
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .aggregate(Sum("n", alias_name="n"), Sum("value_sum", alias_name="value_sum"))
-        .to_pandas()
-    )
+    out = fold_groups(ds.map_batches(partial, batch_format="pyarrow"),
+                      ["event_type", "window_start"],
+                      {"n": (None, "count"), "value_sum": ("value", "sum")})
     out["value_sum"] = out["value_sum"].round(2)
-    return out.sort_values(["event_type", "window_start"]).reset_index(drop=True)
+    return out
 
 
 EVENTS_WINDOW_SQL = """
@@ -860,8 +804,9 @@ def purchase_window_range_join(sf_dir: str):
         iv = g[g["kind"] == "i"]
         ev = g[g["kind"] == "e"]
         if ev.empty:
-            return pd.DataFrame({"event_type": [], "total_matches": [],
-                                 "n_events": []})
+            return pd.DataFrame({"event_type": pd.Series([], dtype=object),
+                                 "total_matches": pd.Series([], dtype="int64"),
+                                 "n_events": pd.Series([], dtype="int64")})
         starts = np.sort(iv["t0"].to_numpy())
         ends = np.sort(iv["t1"].to_numpy())
         ts = ev["t0"].to_numpy()
@@ -875,19 +820,16 @@ def purchase_window_range_join(sf_dir: str):
         ).reset_index()
         return gsum
 
-    out = (
-        ds.map_batches(rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(stab, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("total_matches", alias_name="total_matches"),
-                   Sum("n_events", alias_name="n_events"))
-        .to_pandas()
-    )
-    out = out[out["total_matches"] > 0]
-    for c in ("total_matches", "n_events"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    def stab_buckets(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([stab(b) for _, b in g.groupby("bucket", sort=False)],
+                         ignore_index=True)
+
+    out = fold_groups(
+        partition_reduce(ds.map_batches(rows, batch_format="pyarrow"),
+                         "bucket", stab_buckets),
+        "event_type", {"total_matches": ("total_matches", "sum"),
+                       "n_events": ("n_events", "sum")})
+    return out[out["total_matches"] > 0].reset_index(drop=True)
 
 
 PURCHASE_RANGE_JOIN_SQL = """
@@ -942,19 +884,15 @@ def customers_without_big_orders(sf_dir: str, price: float = 300000.0,
             n_customers=("key", "size"), acctbal=("bal", "sum")).reset_index()
         return out.rename(columns={"seg": "c_mktsegment"})
 
-    out = (
+    out = fold_groups(
         partition_join(
             [(cust.map_batches(cust_rows, batch_format="pyarrow"), "key"),
              (orders.map_batches(order_rows, batch_format="pyarrow"), "key")],
-            anti, P)
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n_customers", alias_name="n_customers"),
-                   Sum("acctbal", alias_name="acctbal"))
-        .to_pandas()
-    )
+            anti, P),
+        "c_mktsegment", {"n_customers": ("n_customers", "sum"),
+                         "acctbal": ("acctbal", "sum")})
     out["acctbal"] = out["acctbal"].round(2)
-    out["n_customers"] = out["n_customers"].astype("int64")
-    return out.sort_values("c_mktsegment").reset_index(drop=True)
+    return out
 
 
 CUSTOMERS_ANTI_JOIN_SQL = """
@@ -979,18 +917,8 @@ def lineitem_rollup(sf_dir: str):
     oracle's COALESCE."""
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = df.groupby(["l_returnflag", "l_linestatus"], sort=False).agg(
-            n=("l_quantity", "size"), sum_qty=("l_quantity", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    base = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_qty", alias_name="sum_qty"))
-        .to_pandas()
-    )
+    base = fold_groups(ds, ["l_returnflag", "l_linestatus"],
+                       {"n": (None, "count"), "sum_qty": ("l_quantity", "sum")})
     sub = base.groupby("l_returnflag", as_index=False).agg(
         n=("n", "sum"), sum_qty=("sum_qty", "sum"))
     sub["l_linestatus"] = "ALL"
@@ -998,7 +926,6 @@ def lineitem_rollup(sf_dir: str):
                         "n": [base["n"].sum()], "sum_qty": [base["sum_qty"].sum()]})
     out = pd.concat([base, sub, tot], ignore_index=True)
     out["sum_qty"] = out["sum_qty"].round(2)
-    out["n"] = out["n"].astype("int64")
     return out[["l_returnflag", "l_linestatus", "n", "sum_qty"]].sort_values(
         ["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
@@ -1072,22 +999,11 @@ def events_props_stats(sf_dir: str):
         g = out.groupby(["event_type", "k"], as_index=False).size()
         return g.rename(columns={"size": "n"})
 
-    acc: dict[tuple[str, int], int] = {}
-    for b in ds.map_batches(partial, batch_format="pandas").iter_batches(
-            batch_format="pandas"):
-        for t, k, n in zip(b["event_type"], b["k"], b["n"]):
-            acc[(t, int(k))] = acc.get((t, int(k)), 0) + int(n)
-    rows = pd.DataFrame(
-        [(t, k, n) for (t, k), n in acc.items()],
-        columns=["event_type", "k", "n"])
-    out = rows.groupby("event_type").agg(
-        n=("n", "sum"),
-        sum_k=("k", lambda s: int((s * rows.loc[s.index, "n"]).sum())),
-        n_distinct_k=("k", "size"),
-    ).reset_index()
-    for c in ("n", "sum_k", "n_distinct_k"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    rows = fold_groups(ds.map_batches(partial, batch_format="pandas"),
+                       ["event_type", "k"], {"n": ("n", "sum")})
+    return rows.assign(kn=rows["k"] * rows["n"]).groupby(
+        "event_type", as_index=False).agg(
+        n=("n", "sum"), sum_k=("kn", "sum"), n_distinct_k=("k", "size"))
 
 
 EVENTS_PROPS_SQL = """
@@ -1209,19 +1125,9 @@ def events_asof_join(sf_dir: str, buckets: int = 8):
                 .agg(n_purchases=("n", "sum"), n_matched=("m", "sum"),
                      sum_gap_us=("gap", "sum")))
 
-    acc: dict[int, list[int]] = {}
-    for b in partition_reduce(ds, "user_id", fold) \
-            .iter_batches(batch_format="pandas"):
-        for bk, n, m, gp in zip(b["bucket"], b["n_purchases"],
-                                b["n_matched"], b["sum_gap_us"]):
-            a = acc.setdefault(int(bk), [0, 0, 0])
-            a[0] += int(n); a[1] += int(m); a[2] += int(gp)
-    out = pd.DataFrame(
-        [(bk, a[0], a[1], a[2]) for bk, a in acc.items()],
-        columns=["bucket", "n_purchases", "n_matched", "sum_gap_us"])
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out.sort_values("bucket").reset_index(drop=True)
+    return fold_groups(partition_reduce(ds, "user_id", fold), "bucket",
+                       {c: (c, "sum") for c in
+                        ("n_purchases", "n_matched", "sum_gap_us")})
 
 
 EVENTS_ASOF_SQL = """

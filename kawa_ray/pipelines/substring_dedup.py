@@ -34,11 +34,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 from numpy.lib.stride_tricks import sliding_window_view
-from ray.data.aggregate import Count, Sum
 
 from kawa_ray.functions.minhash import md5_low64
 from kawa_ray.pipelines.docs import _PAIR_PARTITIONS, _WS, _read_docs
-from kawa_ray.stages.distinct import partition_reduce
+from kawa_ray.stages.distinct import fold_groups, partition_reduce
 
 K_TOKENS = 8   # tokens per gram
 W_WINDOW = 4   # winnow window (grams); detects runs >= K_TOKENS + W_WINDOW - 1
@@ -54,7 +53,7 @@ def winnow_select(hs: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     hypothesis-tested directly against this function.
 
     Returns ``(sel_fp, pos)``: the int64-shifted fingerprint per window
-    (top bit xor — Ray aggregates can't carry uint64 > 2^63;
+    (top bit xor — int64 columns can't carry uint64 > 2^63;
     distinctness, all downstream stages need, survives) and the
     selected absolute position per window (SQL parity: MIN(i) at wmin).
     Callers dedupe repeated (fp, pos) pairs across overlapping windows.
@@ -80,12 +79,8 @@ def doc_substring_dup_census(sf_dir: str, k: int = K_TOKENS, w: int = W_WINDOW):
     def doc_partial(t: pa.Table) -> pa.Table:
         texts = t.column("text").to_pylist()
         n_toks = [len(_WS.split(x.strip())) if x.strip() else 0 for x in texts]
-        df = pd.DataFrame({"lang": t.column("lang").to_pylist(), "n": n_toks})
-        g = (df.groupby("lang", sort=False)["n"]
-             .agg(n_docs="size", total_tokens="sum").reset_index())
-        return pa.table({"lang": pa.array(g["lang"], pa.string()),
-                         "n_docs": pa.array(g["n_docs"], pa.int64()),
-                         "total_tokens": pa.array(g["total_tokens"], pa.int64())})
+        return pa.table({"lang": t.column("lang"),
+                         "n": pa.array(n_toks, pa.int64())})
 
     def emit_occ(t: pa.Table) -> pa.Table:
         cols = {c: [] for c in ("doc_id", "lang", "fp", "start")}
@@ -127,13 +122,9 @@ def doc_substring_dup_census(sf_dir: str, k: int = K_TOKENS, w: int = W_WINDOW):
         })
 
     # per-lang doc/token totals over ALL docs (corpus-space, distributed)
-    lang_tot = (
-        ds.map_batches(doc_partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("total_tokens", alias_name="total_tokens"))
-        .to_pandas()
-    )
+    lang_tot = fold_groups(ds.map_batches(doc_partial, batch_format="pyarrow"),
+                           "lang", {"n_docs": (None, "count"),
+                                    "total_tokens": ("n", "sum")})
 
     # stage 2: fingerprint-partitioned duplicate flagging.  The partition
     # hash routes every occurrence of one fingerprint to one partition,
@@ -172,13 +163,10 @@ def doc_substring_dup_census(sf_dir: str, k: int = K_TOKENS, w: int = W_WINDOW):
                              "dup_tokens": pd.Series(out_dup, dtype="int64")})
 
     per_doc = partition_reduce(flagged, "doc_id", spans_part, P)
-    dup_by_lang = (
-        per_doc.groupby("lang")
-        .aggregate(Count(alias_name="docs_with_dups"),
-                   Sum("dup_tokens", alias_name="dup_tokens"))
-        .to_pandas()
-    )
-    if dup_by_lang.empty or "lang" not in dup_by_lang.columns:
+    dup_by_lang = fold_groups(per_doc, "lang",
+                              {"docs_with_dups": (None, "count"),
+                               "dup_tokens": ("dup_tokens", "sum")})
+    if dup_by_lang.empty:  # no input schema to type the key column
         dup_by_lang = pd.DataFrame(
             {"lang": pd.Series([], dtype="str"),
              "docs_with_dups": pd.Series([], dtype="int64"),
@@ -188,9 +176,7 @@ def doc_substring_dup_census(sf_dir: str, k: int = K_TOKENS, w: int = W_WINDOW):
     out = lang_tot.merge(dup_by_lang, on="lang", how="left")
     out["docs_with_dups"] = out["docs_with_dups"].fillna(0).astype("int64")
     out["dup_tokens"] = out["dup_tokens"].fillna(0).astype("int64")
-    out["total_tokens"] = out["total_tokens"].astype("int64")
-    return out[["lang", "n_docs", "total_tokens", "docs_with_dups", "dup_tokens"]] \
-        .sort_values("lang").reset_index(drop=True)
+    return out[["lang", "n_docs", "total_tokens", "docs_with_dups", "dup_tokens"]]
 
 
 SUBSTRING_DUP_SQL = f"""

@@ -48,9 +48,9 @@ import pandas as pd
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from kawa_ray.functions.minhash import md5_low64, word_ngrams
+from kawa_ray.stages.distinct import fold_groups, partition_reduce
 
 
 def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
@@ -167,28 +167,14 @@ def doc_repetition_stats(sf_dir: str):
     mean of each metric in integer micro units (floor of the mean, so
     the oracle comparison is integer-exact)."""
     ds = _read_docs(sf_dir, ["text", "lang"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        m = repetition_micro_frame(df)
-        m["n_docs"] = 1
-        m["n_pass"] = m.pop("gopher_pass").astype(np.int64)
-        return m.groupby("lang", as_index=False).sum()
-
     cols = [f"{kind}{n}_micro" for kind, n, _ in _REP_METRICS]
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_pass", alias_name="n_pass"),
-                   *[Sum(c, alias_name=c) for c in cols])
-        .to_pandas()
-    )
+    out = fold_groups(
+        ds.map_batches(repetition_micro_frame, batch_format="pandas"), "lang",
+        {"n_docs": (None, "count"), "n_pass": ("gopher_pass", "sum"),
+         **{c: (c, "sum") for c in cols}})
     for c in cols:
-        out["avg_" + c] = (out[c] // out["n_docs"]).astype("int64")
-        out.drop(columns=c, inplace=True)
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["n_pass"] = out["n_pass"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+        out["avg_" + c] = out.pop(c) // out["n_docs"]
+    return out
 
 
 def _rep_stats_sql() -> str:
@@ -462,15 +448,8 @@ def top_tokens_mg(sf_dir: str, k: int = 5, capacity: int = 64):
                              "cnt": counts[m]})
 
     # exact recount fold: ≤ |candidates| × languages keys on the driver
-    exact_counts: dict[tuple[str, str], int] = {}
-    for b in ds.map_batches(recount, batch_format="pandas").iter_batches(
-            batch_format="pandas"):
-        for lang, tok, c in zip(b["lang"], b["token"], b["cnt"]):
-            key = (lang, tok)
-            exact_counts[key] = exact_counts.get(key, 0) + int(c)
-    exact = pd.DataFrame(
-        [(lg, tok, c) for (lg, tok), c in exact_counts.items()],
-        columns=["lang", "token", "cnt"])
+    exact = fold_groups(ds.map_batches(recount, batch_format="pandas"),
+                        ["lang", "token"], {"cnt": ("cnt", "sum")})
     exact = exact.sort_values(["lang", "cnt", "token"],
                               ascending=[True, False, True])
     topk = exact.groupby("lang").head(k).reset_index(drop=True)
@@ -499,8 +478,6 @@ def top_tokens_mg(sf_dir: str, k: int = 5, capacity: int = 64):
 
         # token is vocabulary-cardinality: hash-partition on token (all
         # langs of a token co-locate), merge counts in-batch
-        from kawa_ray.stages.distinct import partition_reduce
-
         exact = (
             partition_reduce(
                 ds.map_batches(full_counts, batch_format="pandas"),

@@ -20,7 +20,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from kawa_ray.stages.distinct import fold_counts, partition_join, partition_reduce
+from kawa_ray.stages.distinct import fold_groups, partition_join, partition_reduce
 
 N_QUERIES = 3
 TOP_K = 10
@@ -147,22 +147,12 @@ def embedding_label_stats(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         labels = t.column("label").to_pylist()
         M = np.stack([np.asarray(v, dtype=np.float64) for v in t.column("embedding").to_pylist()])
-        norms = np.linalg.norm(M, axis=1)
-        df = pd.DataFrame({"label": labels, "norm": norms})
-        g = df.groupby("label", sort=False)["norm"].agg(["sum", "size"]).reset_index()
-        g.columns = ["label", "norm_sum", "n"]
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"label": labels, "norm": np.linalg.norm(M, axis=1)})
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(Sum("norm_sum", alias_name="norm_sum"), Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    out = fold_groups(ds.map_batches(partial, batch_format="pyarrow"), "label",
+                      {"norm_sum": ("norm", "sum"), "n": (None, "count")})
     out["mean_norm"] = (out["norm_sum"] / out["n"]).round(4)
-    return out[["label", "n", "mean_norm"]].sort_values("label").reset_index(drop=True)
+    return out[["label", "n", "mean_norm"]]
 
 
 EMBEDDING_LABEL_STATS_SQL = """
@@ -598,27 +588,14 @@ def embedding_centroids(sf_dir: str):
             out["s2"].append(float(s[2]))
         return pa.table({k: pa.array(v) for k, v in out.items()})
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("norm_sum", alias_name="norm_sum"),
-            Sum("s0", alias_name="s0"),
-            Sum("s1", alias_name="s1"),
-            Sum("s2", alias_name="s2"),
-        )
-        .to_pandas()
-    )
+    agg = fold_groups(ds.map_batches(partial, batch_format="pyarrow"), "label",
+                      {c: (c, "sum") for c in ("n", "norm_sum", "s0", "s1", "s2")})
     for i in range(3):
         agg[f"c{i}"] = (agg[f"s{i}"] / agg["n"]).round(6)
     # mean member L2 norm (absorbs the round-2 embedding_label_stats
     # query — same (sum, n) partial pattern, one less registry slot)
     agg["mean_norm"] = (agg["norm_sum"] / agg["n"]).round(4)
-    out = agg[["label", "n", "mean_norm", "c0", "c1", "c2"]].sort_values("label")
-    return out.reset_index(drop=True)
+    return agg[["label", "n", "mean_norm", "c0", "c1", "c2"]]
 
 
 EMBEDDING_CENTROIDS_SQL = """
@@ -883,21 +860,10 @@ def semdedup_census(sf_dir: str, k: int = _SEM_K, iters: int = _SEM_ITERS,
                 .groupby("label", as_index=False)
                 .agg(n_vecs=("n_vecs", "sum"), n_dropped=("dropped", "sum")))
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        partition_reduce(
-            ds.map_batches(member_rows, batch_format="pyarrow"),
-            "c", cluster_part)
-        .groupby("label")
-        .aggregate(Sum("n_vecs", alias_name="n_vecs"),
-                   Sum("n_dropped", alias_name="n_dropped"))
-        .to_pandas()
-    )
-    out["label"] = out["label"].astype("int64")
-    out["n_vecs"] = out["n_vecs"].astype("int64")
-    out["n_dropped"] = out["n_dropped"].astype("int64")
-    return out.sort_values("label").reset_index(drop=True)
+    return fold_groups(
+        partition_reduce(ds.map_batches(member_rows, batch_format="pyarrow"),
+                         "c", cluster_part),
+        "label", {"n_vecs": ("n_vecs", "sum"), "n_dropped": ("n_dropped", "sum")})
 
 
 def _semdedup_sql(k: int = _SEM_K, iters: int = _SEM_ITERS,
@@ -1096,13 +1062,12 @@ def margin_bitext_census(sf_dir: str, k: int = _BM_K) -> pd.DataFrame:
                       for v in t.column("embedding").to_pylist()]) \
             if t.num_rows else np.zeros((0, Tn.shape[1]))
         if M.shape[0] == 0:
-            return pa.table({"margin_bucket": pa.array([], pa.int64()),
-                             "n_pairs": pa.array([], pa.int64())})
+            return pa.table({"margin_bucket": pa.array([], pa.int64())})
         Mn = M / np.clip(np.linalg.norm(M, axis=1, keepdims=True),
                          1e-12, None)
         C = _c_int(Mn @ Tn.T)
         kk = min(k, C.shape[1])
-        out: dict[int, int] = {}
+        out = []
         for i in range(C.shape[0]):
             row = C[i]
             o = np.lexsort((tgt_ids, -row))
@@ -1111,16 +1076,12 @@ def margin_bitext_census(sf_dir: str, k: int = _BM_K) -> pd.DataFrame:
             ssum, scnt = s_tgt[int(tgt_ids[bj])]
             den = s_src * scnt + ssum * kk
             bkt = (int(row[bj]) * 2 * kk * scnt * 10) // den
-            out[bkt] = out.get(bkt, 0) + 1
-        items = sorted(out.items())
-        return pa.table({"margin_bucket": pa.array([b for b, _ in items],
-                                                   pa.int64()),
-                         "n_pairs": pa.array([n for _, n in items],
-                                             pa.int64())})
+            out.append(bkt)
+        return pa.table({"margin_bucket": pa.array(out, pa.int64())})
 
-    return fold_counts(src.map_batches(bucket_partial, batch_format="pyarrow",
+    return fold_groups(src.map_batches(bucket_partial, batch_format="pyarrow",
                                        batch_size=2048),
-                       "margin_bucket", "n_pairs")
+                       "margin_bucket", {"n_pairs": (None, "count")})
 
 
 def _margin_bitext_sql(k: int = _BM_K) -> str:

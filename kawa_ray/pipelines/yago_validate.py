@@ -42,10 +42,10 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from kawa_ray.functions.minhash import md5_low64
 from kawa_ray.functions.text import cjk_detect
+from kawa_ray.stages.distinct import fold_groups
 
 # fixture label universe: every branch of the cascade is reachable
 LABELS = [
@@ -177,28 +177,17 @@ def yago_validate(sf_dir: str) -> pd.DataFrame:
                            columns=["doc_id"])
 
     def validate(t: pa.Table) -> pa.Table:
-        counts: dict[tuple[str, str], int] = {}
+        li, lo = [], []
         for doc_id in t.column("doc_id").to_pylist():
             word, label, hd, hf, cl = synth_candidate(int(doc_id))
             ok, out = yago_accept(word, label, hd, hf, cl)
-            key = (label, out if ok else "DROPPED")
-            counts[key] = counts.get(key, 0) + 1
-        li, lo, n = [], [], []
-        for (a, b), c in counts.items():
-            li.append(a)
-            lo.append(b)
-            n.append(c)
+            li.append(label)
+            lo.append(out if ok else "DROPPED")
         return pa.table({"label_in": pa.array(li, pa.string()),
-                         "label_out": pa.array(lo, pa.string()),
-                         "n": pa.array(n, pa.int64())})
+                         "label_out": pa.array(lo, pa.string())})
 
-    out = (
-        docs.map_batches(validate, batch_format="pyarrow")
-        .groupby(["label_in", "label_out"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    return out.sort_values(["label_in", "label_out"]).reset_index(drop=True)
+    return fold_groups(docs.map_batches(validate, batch_format="pyarrow"),
+                       ["label_in", "label_out"], {"n": (None, "count")})
 
 
 def _sql() -> str:

@@ -87,7 +87,7 @@ def ntriples_census(sf_dir: str):
     triple-cardinality, NOT vocabulary-sized — go through the shared
     hash-partition distinct; only per-token partial counts reach the
     driver fold."""
-    from kawa_ray.stages.distinct import partition_distinct
+    from kawa_ray.stages.distinct import fold_groups, partition_distinct
 
     base = os.path.basename(os.path.normpath(sf_dir))
     path = write_fixture_ntriples(sf_dir, f"/tmp/kawa_ray_nt/{base}/part_types.nt.gz")
@@ -105,32 +105,18 @@ def ntriples_census(sf_dir: str):
     # triple-table-sized stream in the object store for two consumers)
     parsed = lines.map_batches(parse, batch_format="pandas")
 
-    # total triples per token: per-batch partials, driver fold (vocab-sized)
-    n_tri: dict[str, int] = {}
-    for b in parsed.map_batches(
-            lambda df: df.groupby("token", as_index=False).size().rename(
-                columns={"size": "n"}),
-            batch_format="pandas").iter_batches(batch_format="pandas"):
-        for tok, nt in zip(b["token"], b["n"]):
-            n_tri[tok] = n_tri.get(tok, 0) + int(nt)
+    # total triples per token: per-block partials, driver fold (vocab-sized)
+    out = fold_groups(parsed, "token", {"n_triples": (None, "count")})
 
     # distinct subjects per token: partitioned distinct with a fused
     # per-token partial count, then a vocab-sized driver fold
-    n_sub: dict[str, int] = {}
-    distinct_counts = partition_distinct(
+    n_sub = fold_groups(partition_distinct(
         parsed, ["token", "subject"], key_col="subject",
         then=lambda g: g.groupby("token", as_index=False).size().rename(
-            columns={"size": "n"}))
-    for b in distinct_counts.iter_batches(batch_format="pandas"):
-        for tok, ns in zip(b["token"], b["n"]):
-            n_sub[tok] = n_sub.get(tok, 0) + int(ns)
-
-    out = pd.DataFrame(
-        [(t, n_tri[t], n_sub.get(t, 0)) for t in sorted(n_tri)],
-        columns=["token", "n_triples", "n_subjects"])
-    for c in ("n_triples", "n_subjects"):
-        out[c] = out[c].astype("int64")
-    return out.reset_index(drop=True)
+            columns={"size": "n"})), "token", {"n_subjects": ("n", "sum")})
+    out = out.merge(n_sub, on="token", how="left")
+    out["n_subjects"] = out["n_subjects"].fillna(0).astype("int64")
+    return out
 
 
 NTRIPLES_CENSUS_SQL = """
@@ -180,50 +166,33 @@ def jsonl_roundtrip_census(sf_dir: str):
     path = write_fixture_jsonl(sf_dir, f"/tmp/kawa_ray_nt/{base}/events.jsonl.gz")
     ds = rd.read_json(path)
 
-    from kawa_ray.stages.distinct import partition_distinct
+    from kawa_ray.stages.distinct import fold_groups, partition_distinct
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         import numpy as np
 
-        df = df.assign(cents=np.floor(
-            df["value"].to_numpy("float64") * 100.0).astype("int64"))
-        g = df.groupby("event_type").agg(
-            n=("event_id", "size"),
-            value_cents=("cents", "sum"),
-        ).reset_index()
-        return g
+        return pd.DataFrame({"event_type": df["event_type"], "cents": np.floor(
+            df["value"].to_numpy("float64") * 100.0).astype("int64")})
 
     # two streaming passes over the lazy read (line-splittable gzip —
     # re-reading beats pinning the event-table-sized stream)
-    n: dict[str, int] = {}
-    vs: dict[str, int] = {}
-    for b in ds.map_batches(partial, batch_format="pandas").iter_batches(
-            batch_format="pandas"):
-        for et, cnt, v in zip(b["event_type"], b["n"], b["value_cents"]):
-            n[et] = n.get(et, 0) + int(cnt)
-            vs[et] = vs.get(et, 0) + int(v)
+    out = fold_groups(ds.map_batches(partial, batch_format="pandas"),
+                      "event_type", {"n": (None, "count"),
+                                     "value_cents": ("cents", "sum")})
 
     # distinct users per type: user-cardinality, so through the shared
     # partitioned distinct (fused per-type partial counts), never a
     # driver-held user set; project to the two needed columns FIRST so
     # event_id/value never cross the shuffle
-    us: dict[str, int] = {}
-    distinct_counts = partition_distinct(
+    us = fold_groups(partition_distinct(
         ds.map_batches(lambda df: df[["event_type", "user_id"]],
                        batch_format="pandas"),
         ["event_type", "user_id"], key_col="user_id",
         then=lambda g: g.groupby("event_type", as_index=False).size().rename(
-            columns={"size": "nu"}))
-    for b in distinct_counts.iter_batches(batch_format="pandas"):
-        for et, nu in zip(b["event_type"], b["nu"]):
-            us[et] = us.get(et, 0) + int(nu)
-
-    out = pd.DataFrame(
-        [(et, n[et], us.get(et, 0), vs[et]) for et in sorted(n)],
-        columns=["event_type", "n", "n_users", "value_cents"])
-    for c in ("n", "n_users", "value_cents"):
-        out[c] = out[c].astype("int64")
-    return out.reset_index(drop=True)
+            columns={"size": "nu"})), "event_type", {"n_users": ("nu", "sum")})
+    out = out.merge(us, on="event_type", how="left")
+    out["n_users"] = out["n_users"].fillna(0).astype("int64")
+    return out[["event_type", "n", "n_users", "value_cents"]]
 
 
 JSONL_ROUNDTRIP_SQL = """

@@ -1,4 +1,5 @@
-"""The package's one keyed exchange, and exact high-cardinality DISTINCT.
+"""The package's one keyed exchange, its one grouped fold, and exact
+high-cardinality DISTINCT.
 
 Ray's ``groupby().aggregate()`` pays ~2 ms per DISTINCT KEY (measured:
 deduping 3.5 M rows to 160 k keys took 345 s, BASELINE.md "per-
@@ -24,10 +25,15 @@ no caller pads sides to one schema or marks them with a sentinel, a
 flag or a None payload, and no caller unions streams into
 ``partition_reduce`` (tests/test_distinct_helpers.py scans for it).
 
-Fold rule: a histogram whose per-partition partial rows reach the
-driver is summed by ``fold_counts`` and by no hand-written dict loop
-(tests/test_distinct_helpers.py scans for the ``acc.get(int(k), 0) +``
-shape).
+Grouped-fold rule: a grouped result whose keys are config-sized (a
+lang, an event type, a label, a time window, a histogram bucket) is one
+``fold_groups(ds, by, aggs)`` call: per-block pyarrow partials folded
+on the driver, no exchange (a Ray ``groupby().aggregate()`` pays
+seconds of fixed shuffle cost at any data size).  No module runs a Ray
+grouped aggregate or ``map_groups``, or sums batch rows into a dict by
+hand; ``Dataset.groupby`` is called in exactly one place,
+``partition_reduce`` (tests/test_distinct_helpers.py scans for all of
+these).
 """
 
 from __future__ import annotations
@@ -57,11 +63,17 @@ def partition_reduce(ds: rd.Dataset, key_col: str,
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(part=route_parts(df[key_col], partitions))
 
+    def run(g: pd.DataFrame):
+        out = fn(g.drop(columns="part"))
+        # an empty pandas block with an object column breaks Ray's block
+        # size estimate; as Arrow it keeps its columns and sizes to 0
+        return pa.Table.from_pandas(out, preserve_index=False) \
+            if isinstance(out, pd.DataFrame) and out.empty else out
+
     return (
         ds.map_batches(assign, batch_format="pandas")
         .groupby("part")
-        .map_groups(lambda g: fn(g.drop(columns="part")),
-                    batch_format="pandas")
+        .map_groups(run, batch_format="pandas")
     )
 
 
@@ -200,16 +212,81 @@ def partition_distinct(ds: rd.Dataset, cols: list[str], key_col: str,
     return partition_reduce(ds, key_col, dedup, partitions)
 
 
-def fold_counts(ds: rd.Dataset, key: str, count: str) -> pd.DataFrame:
-    """Sum partial histogram rows ``(key, count)`` on the driver: one
-    row per distinct key, sorted by key, both columns int64, RangeIndex.
-    No rows (or an empty Dataset) gives the same typed frame, empty.
-    Partials are histogram-sized, never data-sized."""
-    parts = [pd.DataFrame({key: b[key].to_numpy("int64"),
-                           count: b[count].to_numpy("int64")})
-             for b in ds.iter_batches(batch_format="pandas") if len(b)]
-    if not parts:
-        return pd.DataFrame({key: pd.Series([], dtype="int64"),
-                             count: pd.Series([], dtype="int64")})
-    return (pd.concat(parts, ignore_index=True)
-            .groupby(key, sort=True)[count].sum().reset_index())
+def _arrow_type(t) -> pa.DataType:
+    """A Dataset schema type as Arrow (pandas blocks report numpy
+    dtypes; an object column is taken as str)."""
+    if isinstance(t, pa.DataType):
+        return t
+    try:
+        return pa.from_numpy_dtype(t)
+    except (TypeError, NotImplementedError, pa.ArrowNotImplementedError):
+        return pa.string()
+
+
+_COMBINE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def fold_groups(ds: rd.Dataset, by: str | list[str],
+                aggs: dict[str, tuple[str | None, str]]) -> pd.DataFrame:
+    """Grouped fold of a key-cardinality result on the driver:
+    ``SELECT by, aggs FROM ds GROUP BY by ORDER BY by`` as a DataFrame.
+
+    ``aggs`` maps an output column to ``(input_col, op)``, ``op`` one of
+    ``sum``, ``count``, ``min``, ``max``; ``(None, "count")`` is
+    COUNT(*), ``(col, "count")`` is COUNT(col).  Each block is reduced
+    by a pyarrow ``group_by(by).aggregate`` in one ``map_batches``
+    (one row per block and key); the driver folds those rows as they
+    stream in, holding one row per distinct key.  SQL semantics: a null
+    key is its own group; a group whose inputs are all null gets null
+    for sum/min/max and 0 for count.  The frame is sorted by ``by``
+    (nulls last) on a RangeIndex; counts and integer sums are int64,
+    float sums float64, min/max keep the input dtype (an integer column
+    holding a null converts to float64 with NaN, as pandas converts
+    it).  An empty input gives the zero-row frame with the same
+    columns.
+
+    Only for results whose key cardinality is config-sized (a lang, an
+    event type, a label, a time window): every distinct key reaches
+    the driver.  Data-cardinality keys go through ``partition_reduce``.
+    """
+    keys = [by] if isinstance(by, str) else list(by)
+    pairs = list(dict.fromkeys(aggs.values()))  # distinct (col, op)
+    cols = [f"_a{i}" for i in range(len(pairs))]
+
+    def reduce(t: pa.Table, specs: list, names: list[str]) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(specs)
+        return g.select(keys + names).rename_columns(keys + cols)
+
+    def partial(t: pa.Table) -> pa.Table:
+        # pyarrow names each result "<col>_<op>" ("count_all" for COUNT(*))
+        return reduce(t, [([], "count_all") if c is None else (c, op)
+                          for c, op in pairs],
+                      ["count_all" if c is None else f"{c}_{op}"
+                       for c, op in pairs])
+
+    combine = [(c, _COMBINE[op]) for c, (_, op) in zip(cols, pairs)]
+    acc = None
+    for b in ds.map_batches(partial, batch_format="pyarrow", batch_size=None,
+                            zero_copy_batch=True).iter_batches(
+            batch_format="pyarrow", batch_size=None):
+        if not b.num_rows:  # an empty input block may come back column-less
+            continue
+        acc = b if acc is None else reduce(
+            pa.concat_tables([acc, b], promote_options="permissive"),
+            combine, [f"{c}_{op}" for c, op in combine])
+    if acc is None:  # no rows: type the empty frame from the input schema
+        schema = ds.schema()
+        need = set(keys) | {c for c, _ in pairs if c is not None}
+        acc = partial(pa.schema(
+            [(c, _arrow_type(t)) for c, t in zip(schema.names, schema.types)]
+            if schema is not None
+            else [(c, pa.int64()) for c in sorted(need)]).empty_table())
+    acc = acc.sort_by([(k, "ascending") for k in keys])
+    out = {k: acc.column(k) for k in keys}
+    for name, pair in aggs.items():
+        col = acc.column(cols[pairs.index(pair)])
+        if pair[1] in ("sum", "count") and (pa.types.is_integer(col.type)
+                                            or pa.types.is_boolean(col.type)):
+            col = col.cast(pa.int64())
+        out[name] = col
+    return pa.table(out).to_pandas()

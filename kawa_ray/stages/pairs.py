@@ -71,31 +71,9 @@ def pairs_for_block(members: list[str], max_pairs: int) -> list[tuple[str, str]]
     return out
 
 
-def explode_block(group: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
-    """map_groups body: one block -> pair rows."""
-    key = group["block_key"].iloc[0]
-    # prioritise high-mention-count members so the cap keeps the pairs that
-    # cover the most mention mass
-    members = (
-        group.sort_values(["n_mentions", "norm"], ascending=[False, True])["norm"].tolist()
-    )
-    pairs = pairs_for_block(members, max_pairs)
-    if not pairs:
-        return pd.DataFrame({"a": pd.Series(dtype=str), "b": pd.Series(dtype=str),
-                             "block_key": pd.Series(dtype=str)})
-    a, b = zip(*pairs)
-    return pd.DataFrame({"a": list(a), "b": list(b), "block_key": key})
-
-
-def dedup_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body on pair_key: keep first (hash-partitioned exact
-    dedup — SURVEY.md §2.6 'exact dedup = hash partition + first')."""
-    return group.head(1)
-
-
 def explode_partition(group: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
-    """map_groups body over a HASH PARTITION of block keys (not a single
-    block): one global sort + numpy segment splits, so per-block cost is
+    """``partition_reduce`` body over a HASH PARTITION of block keys (not
+    a single block): one global sort + numpy segment splits, so per-block cost is
     a couple of python ops (a per-group pandas sort_values here cost
     ~0.7ms x 10k+ keys and dominated the stage; member order is
     irrelevant anyway — ``pairs_for_block`` canonicalises to sorted

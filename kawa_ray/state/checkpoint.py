@@ -237,16 +237,9 @@ def read_lang_census(parts: list[str]):
     what's-on-disk census every materializing pipeline reports
     (clean_corpus, classify_corpus): the disk is the source of truth,
     so the census is checkable end-to-end THROUGH the write path."""
-    import pandas as pd
     import ray.data as rd
 
-    acc: dict[str, int] = {}
-    for b in rd.read_parquet(parts, columns=["lang"]).map_batches(
-            lambda df: df.groupby("lang", as_index=False).size().rename(
-                columns={"size": "n"}),
-            batch_format="pandas").iter_batches(batch_format="pandas"):
-        for lang, n in zip(b["lang"], b["n"]):
-            acc[lang] = acc.get(lang, 0) + int(n)
-    census = pd.DataFrame(sorted(acc.items()), columns=["lang", "n_kept"])
-    census["n_kept"] = census["n_kept"].astype("int64")
-    return census
+    from kawa_ray.stages.distinct import fold_groups
+
+    return fold_groups(rd.read_parquet(parts, columns=["lang"]), "lang",
+                       {"n_kept": (None, "count")})

@@ -6,6 +6,7 @@ against the straight pandas answer."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray.data as rd
@@ -269,13 +270,16 @@ def _names(node) -> set:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def _exchange_violations(path) -> list:
+def _exchange_violations(src: str, name: str = "<src>") -> list:
     """Hand-rolled exchanges in one module: a ``groupby("part")``, a
-    ``part`` column written (dict key, keyword or subscript), or a
-    modulo / bitmask by a partition count."""
+    ``part`` column written (dict key, keyword or subscript), a modulo /
+    bitmask by a partition count, a ``map_groups`` (Ray's per-key
+    dispatch), a ``from ray.data.aggregate import`` or a
+    ``.groupby(...).aggregate(...)`` chain (a Ray grouped exchange; a
+    key-cardinality result folds with ``fold_groups``)."""
     import ast
 
-    tree = ast.parse(path.read_text(), str(path))
+    tree = ast.parse(src, name)
     bad = []
     for node in ast.walk(tree):
         hit = None
@@ -290,6 +294,16 @@ def _exchange_violations(path) -> list:
             elif (isinstance(f, ast.Attribute) and f.attr == "bit_wise_and"
                     and _names(node) & _ROUTE_NAMES):
                 hit = "bit_wise_and route"
+            elif (isinstance(f, ast.Attribute) and f.attr == "aggregate"
+                    and isinstance(f.value, ast.Call)
+                    and isinstance(f.value.func, ast.Attribute)
+                    and f.value.func.attr == "groupby"):
+                hit = "groupby().aggregate()"
+        elif isinstance(node, ast.Attribute) and node.attr == "map_groups":
+            hit = "map_groups"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("ray.data.aggregate"):
+                hit = "ray.data.aggregate import"
         elif isinstance(node, ast.Dict):
             if any(isinstance(k, ast.Constant) and k.value == "part"
                    for k in node.keys):
@@ -303,15 +317,42 @@ def _exchange_violations(path) -> list:
             if _names(node.right) & _ROUTE_NAMES:
                 hit = "% / & partition route"
         if hit:
-            bad.append(f"{path}:{node.lineno}: {hit}")
+            bad.append(f"{name}:{node.lineno}: {hit}")
     return bad
+
+
+def test_exchange_scanner_shapes():
+    """The scanner flags Ray's grouped exchanges and leaves pandas and
+    pyarrow in-batch groupings alone."""
+    flagged = '''
+from ray.data.aggregate import Sum
+
+def census(ds):
+    return ds.groupby("lang").aggregate(Sum("n", alias_name="n"))
+
+def per_key(ds):
+    return ds.groupby("k").map_groups(fn, batch_format="pandas")
+'''
+    allowed = '''
+def partial(df, t):
+    a = df.groupby("lang", as_index=False).agg(n=("n", "sum"))
+    b = t.group_by("lang").aggregate([("n", "sum")])
+    return a, b
+'''
+    assert _exchange_violations(flagged) == [
+        "<src>:2: ray.data.aggregate import",
+        "<src>:5: groupby().aggregate()",
+        "<src>:8: map_groups"]
+    assert _exchange_violations(allowed) == []
 
 
 def test_no_exchange_outside_partition_reduce():
     """Every hash-partitioned reduce goes through
     ``stages/distinct.partition_reduce`` and is routed only by
     ``route_parts``: no other module may write a ``part`` column, call
-    ``groupby("part")`` or compute a partition id itself."""
+    ``groupby("part")`` or compute a partition id itself, and no other
+    module runs a Ray grouped exchange (``map_groups``,
+    ``groupby().aggregate()``, ``ray.data.aggregate``)."""
     from pathlib import Path
 
     import kawa_ray
@@ -321,7 +362,7 @@ def test_no_exchange_outside_partition_reduce():
     for path in sorted(root.rglob("*.py")):
         if path.relative_to(root).as_posix() == "stages/distinct.py":
             continue
-        bad += _exchange_violations(path)
+        bad += _exchange_violations(path.read_text(), str(path))
     assert not bad, "hand-rolled exchanges:\n" + "\n".join(bad)
 
 
@@ -413,12 +454,14 @@ def test_no_union_join_outside_partition_join():
 
 
 def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
-    """Hand-written pair emitters and driver histogram folds in one
-    module: a ``for y in range(x + 1, ...)`` loop that is a direct body
-    statement of a ``for x ...`` loop (a within-block pair loop, the
-    job of ``stages/pairs.block_pairs``), and an
-    ``acc.get(int(...), 0) + ...`` fold (the job of
-    ``stages/distinct.fold_counts``)."""
+    """Hand-written pair emitters and driver folds in one module: a
+    ``for y in range(x + 1, ...)`` loop that is a direct body statement
+    of a ``for x ...`` loop (a within-block pair loop, the job of
+    ``stages/pairs.block_pairs``), and a ``d[k] = d.get(k, 0) + ...``
+    fold inside a loop that walks the rows of an ``iter_batches`` batch
+    (``zip(b[...], ...)``, ``b.itertuples()``, ``b.iterrows()``; the
+    job of ``stages/distinct.fold_groups``).  A loop over a batch's
+    groups (``b.groupby(...)``) is not a row walk."""
     import ast
 
     def loop_var(node):
@@ -431,7 +474,41 @@ def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
                 and isinstance(a0.right, ast.Constant)
                 and a0.right.value == 1)
 
-    bad = []
+    def is_batch_loop(node) -> bool:
+        return (isinstance(node, ast.For) and loop_var(node) is not None
+                and any(isinstance(c, ast.Call)
+                        and isinstance(c.func, ast.Attribute)
+                        and c.func.attr == "iter_batches"
+                        for c in ast.walk(node.iter)))
+
+    def walks_rows(it, b) -> bool:
+        def of_b(n) -> bool:
+            return isinstance(n, ast.Name) and n.id == b
+        if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) \
+                and it.func.id == "zip":
+            return any(isinstance(a, ast.Subscript) and of_b(a.value)
+                       for a in it.args)
+        return (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+                and it.func.attr in ("itertuples", "iterrows")
+                and of_b(it.func.value))
+
+    def is_get_fold(st) -> bool:
+        # d[k] = d.get(k, 0) + ...
+        if not (isinstance(st, ast.Assign) and len(st.targets) == 1
+                and isinstance(st.targets[0], ast.Subscript)
+                and isinstance(st.targets[0].value, ast.Name)
+                and isinstance(st.value, ast.BinOp)
+                and isinstance(st.value.op, ast.Add)):
+            return False
+        g = st.value.left
+        return (isinstance(g, ast.Call) and isinstance(g.func, ast.Attribute)
+                and g.func.attr == "get"
+                and isinstance(g.func.value, ast.Name)
+                and g.func.value.id == st.targets[0].value.id
+                and len(g.args) == 2 and isinstance(g.args[1], ast.Constant)
+                and g.args[1].value == 0)
+
+    bad = set()
     for node in ast.walk(ast.parse(src, name)):
         if isinstance(node, ast.For) and loop_var(node):
             for st in node.body:
@@ -440,33 +517,35 @@ def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
                         and isinstance(st.iter.func, ast.Name)
                         and st.iter.func.id == "range"
                         and starts_after(st.iter, loop_var(node))):
-                    bad.append(f"{name}:{st.lineno}: pair loop")
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            f = node.left
-            if (isinstance(f, ast.Call) and isinstance(f.func, ast.Attribute)
-                    and f.func.attr == "get"
-                    and isinstance(f.func.value, ast.Name)
-                    and f.func.value.id == "acc" and len(f.args) == 2
-                    and isinstance(f.args[0], ast.Call)
-                    and isinstance(f.args[0].func, ast.Name)
-                    and f.args[0].func.id == "int"
-                    and isinstance(f.args[1], ast.Constant)
-                    and f.args[1].value == 0):
-                bad.append(f"{name}:{node.lineno}: histogram fold")
-    return bad
+                    bad.add((st.lineno, "pair loop"))
+        if is_batch_loop(node):
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.For)
+                        and walks_rows(inner.iter, loop_var(node))):
+                    bad |= {(st.lineno, "batch fold")
+                            for st in ast.walk(inner) if is_get_fold(st)}
+    return [f"{name}:{line}: {what}" for line, what in sorted(bad)]
 
 
 def test_pair_loop_scanner_shapes():
-    """The scanner flags the nested pair loop and the int-keyed dict
-    fold, and leaves span loops and offset ranges alone."""
+    """The scanner flags the nested pair loop and int- or str-keyed dict
+    folds over a batch's rows, and leaves span loops, offset ranges,
+    pandas / pyarrow groupings and the Misra-Gries sketch merge (a loop
+    over a batch's groups) alone."""
     flagged = '''
-def emit(mem, batch):
+def emit(mem, ds):
     for x in range(len(mem) - 1):
         a = mem[x]
         for y in range(x + 1, len(mem)):
             out.append((a, mem[y]))
-    for k, n in zip(batch["k"], batch["n"]):
-        acc[int(k)] = acc.get(int(k), 0) + int(n)
+    for batch in ds.iter_batches(batch_format="pandas"):
+        for k, n in zip(batch["k"], batch["n"]):
+            acc[int(k)] = acc.get(int(k), 0) + int(n)
+
+def per_lang(ds):
+    for b in ds.map_batches(f).iter_batches(batch_format="pandas"):
+        for lang, n in zip(b["lang"], b["n"]):
+            counts[lang] = counts.get(lang, 0) + int(n)
 '''
     allowed = '''
 def spans(sent, i):
@@ -484,16 +563,29 @@ def levels(depth):
 def per_lang(rows):
     for lang, n in rows:
         acc[lang] = acc.get(lang, 0) + int(n)
+
+def partials(df, t):
+    a = df.groupby("lang", as_index=False).agg(n=("n", "sum"))
+    return a, t.group_by("lang").aggregate([("n", "sum")])
+
+def sketch(ds):
+    for b in ds.iter_batches(batch_format="pandas"):
+        for lang, grp in b.groupby("lang"):
+            totals[lang] = totals.get(lang, 0) + int(grp["cnt"].sum())
+            cur = running.setdefault(lang, {})
+            for t, c in zip(grp["token"], grp["cnt"]):
+                cur[t] = cur.get(t, 0) + int(c)
 '''
     assert _pair_loop_and_fold_sites(flagged) == [
-        "<src>:5: pair loop", "<src>:8: histogram fold"]
+        "<src>:5: pair loop", "<src>:9: batch fold", "<src>:14: batch fold"]
     assert _pair_loop_and_fold_sites(allowed) == []
 
 
 def test_no_pair_loop_or_fold_outside_helpers():
     """Within-block pairs come from ``stages/pairs.block_pairs`` and
-    histogram partials fold through ``stages/distinct.fold_counts``:
-    no other module writes its own pair loop or dict fold."""
+    grouped partials fold through ``stages/distinct.fold_groups``: no
+    other module writes its own pair loop or dict fold over batch
+    rows."""
     from pathlib import Path
 
     import kawa_ray
@@ -512,15 +604,97 @@ def test_fold_counts_sums_sorted_typed(ray_session):
     """Partial rows of one key in several batches sum to one row;
     keys sort ascending; both columns int64 on a RangeIndex; an empty
     Dataset folds to the same typed frame, empty."""
-    from kawa_ray.stages.distinct import fold_counts
+    from kawa_ray.stages.distinct import fold_groups
 
     parts = [pd.DataFrame({"k": [3, -1], "n": [2, 5]}),
              pd.DataFrame({"k": [3, 2 ** 40], "n": [1, 1]}),
              pd.DataFrame({"k": pd.Series([], dtype="int64"),
                            "n": pd.Series([], dtype="int64")})]
-    got = fold_counts(rd.from_pandas(parts), "k", "n")
+    got = fold_groups(rd.from_pandas(parts), "k", {"n": ("n", "sum")})
     want = pd.DataFrame({"k": [-1, 3, 2 ** 40], "n": [5, 3, 1]},
                         dtype="int64")
     pd.testing.assert_frame_equal(got, want)
-    empty = fold_counts(rd.from_pandas(parts[2]), "k", "n")
+    empty = fold_groups(rd.from_pandas(parts[2]), "k", {"n": ("n", "sum")})
     pd.testing.assert_frame_equal(empty, want.iloc[:0].reset_index(drop=True))
+
+
+def _grouped_blocks():
+    """Strategy: (key kind, number of key columns, blocks) — random
+    rows split into 1-4 Arrow blocks, keys with nulls, plus one key
+    whose values are all null."""
+    from datetime import datetime, timedelta
+
+    from hypothesis import strategies as st
+
+    kinds = {
+        "str": (st.sampled_from(["a", "b", "ü", "zz"]), pa.string(), "zz-null"),
+        "int": (st.integers(-3, 3), pa.int64(), 99),
+        "ts": (st.integers(0, 3).map(
+            lambda h: datetime(2024, 1, 1) + timedelta(hours=h)),
+            pa.timestamp("us"), datetime(2030, 1, 1)),
+    }
+
+    @st.composite
+    def draw(d):
+        kind = d(st.sampled_from(sorted(kinds)))
+        key_st, key_t, null_group = kinds[kind]
+        n_keys = d(st.integers(1, 2))
+        row = st.tuples(*[st.one_of(st.none(), key_st)] * n_keys,
+                        st.one_of(st.none(), st.integers(-2**40, 2**40)),
+                        st.one_of(st.none(), st.floats(-1e6, 1e6)))
+        rows = d(st.lists(row, min_size=1, max_size=40))
+        rows += [(null_group,) * n_keys + (None, None)] * d(st.integers(1, 3))
+        cut = sorted(d(st.lists(st.integers(0, len(rows)), max_size=3)))
+        blocks = [rows[lo:hi] for lo, hi in zip([0] + cut, cut + [len(rows)])]
+        names = [f"k{i}" for i in range(n_keys)]
+        schema = pa.schema([(c, key_t) for c in names]
+                           + [("v", pa.int64()), ("f", pa.float64())])
+        return names, [pa.Table.from_pylist(
+            [dict(zip(schema.names, r)) for r in b], schema) for b in blocks]
+
+    return draw()
+
+
+def _plain(x):
+    """SQL value for comparison: NaN / NaT / None -> None."""
+    return None if x is None or (not isinstance(x, str) and pd.isna(x)) else x
+
+
+def test_fold_groups_matches_duckdb(ray_session):
+    """``fold_groups`` equals DuckDB ``GROUP BY ... ORDER BY`` on random
+    frames split across blocks: str, int and timestamp keys (one or two
+    columns), null keys as their own group, an all-null group (null
+    sum/min/max, zero COUNT(col)), SUM / COUNT(*) / COUNT(col) / MIN /
+    MAX, with int64 counts and float64 float sums."""
+    import duckdb
+    from hypothesis import given, settings
+
+    from kawa_ray.stages.distinct import fold_groups
+
+    @settings(max_examples=12, deadline=None)
+    @given(_grouped_blocks())
+    def check(case):
+        names, blocks = case
+        got = fold_groups(rd.from_arrow(blocks), names, {
+            "s": ("v", "sum"), "n": (None, "count"), "nv": ("v", "count"),
+            "lo": ("v", "min"), "hi": ("v", "max"), "fs": ("f", "sum")})
+        assert list(got.columns) == names + ["s", "n", "nv", "lo", "hi", "fs"]
+        assert isinstance(got.index, pd.RangeIndex)
+        assert got["n"].dtype == "int64" and got["nv"].dtype == "int64"
+        assert got["fs"].dtype == "float64"
+        con = duckdb.connect()
+        con.register("t", pa.concat_tables(blocks))
+        keys = ", ".join(names)
+        want = con.execute(
+            f"SELECT {keys}, SUM(v), COUNT(*), COUNT(v), MIN(v), MAX(v), "
+            f"SUM(f) FROM t GROUP BY {keys} ORDER BY "
+            + ", ".join(f"{c} NULLS LAST" for c in names)).fetchall()
+        assert len(got) == len(want)
+        for g, w in zip(got.itertuples(index=False), want):
+            g, w = [_plain(x) for x in g], [_plain(x) for x in w]
+            assert g[:-1] == w[:-1]
+            assert (g[-1] is None) == (w[-1] is None)
+            if w[-1] is not None:
+                assert g[-1] == pytest.approx(w[-1], rel=1e-9, abs=1e-6)
+
+    check()
