@@ -35,17 +35,21 @@ def _media_ds(sf_dir: str) -> rd.Dataset:
 
 
 _SIZE_CENSUS = {"n_items": (None, "count"), "avg_width": ("width", "sum"),
+                "n_width": ("width", "count"),
                 "avg_height": ("height", "sum"),
+                "n_height": ("height", "count"),
                 "max_frames": ("n_frames", "max"),
                 "total_bytes": ("n_bytes", "sum")}
 
 
 def _mean_sizes(out):
-    """AVG(width), AVG(height) from the width/height sums: SUM / COUNT,
-    floor-discretised (not round: Python/pandas round half-even, SQL
-    ROUND half-away — floor matches bit-for-bit on both sides)."""
-    for c in ("avg_width", "avg_height"):
-        out[c] = np.floor(out[c] / out["n_items"] * 1000) / 1000
+    """AVG(width), AVG(height) from the width/height sums: SUM(col) /
+    COUNT(col), floor-discretised (not round: Python/pandas round
+    half-even, SQL ROUND half-away — floor matches bit-for-bit on both
+    sides)."""
+    for c in ("width", "height"):
+        out[f"avg_{c}"] = np.floor(out[f"avg_{c}"] / out.pop(f"n_{c}")
+                                   * 1000) / 1000
     return out
 
 

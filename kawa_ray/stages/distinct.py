@@ -212,17 +212,6 @@ def partition_distinct(ds: rd.Dataset, cols: list[str], key_col: str,
     return partition_reduce(ds, key_col, dedup, partitions)
 
 
-def _arrow_type(t) -> pa.DataType:
-    """A Dataset schema type as Arrow (pandas blocks report numpy
-    dtypes; an object column is taken as str)."""
-    if isinstance(t, pa.DataType):
-        return t
-    try:
-        return pa.from_numpy_dtype(t)
-    except (TypeError, NotImplementedError, pa.ArrowNotImplementedError):
-        return pa.string()
-
-
 _COMBINE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
@@ -235,15 +224,20 @@ def fold_groups(ds: rd.Dataset, by: str | list[str],
     ``sum``, ``count``, ``min``, ``max``; ``(None, "count")`` is
     COUNT(*), ``(col, "count")`` is COUNT(col).  Each block is reduced
     by a pyarrow ``group_by(by).aggregate`` in one ``map_batches``
-    (one row per block and key); the driver folds those rows as they
-    stream in, holding one row per distinct key.  SQL semantics: a null
-    key is its own group; a group whose inputs are all null gets null
-    for sum/min/max and 0 for count.  The frame is sorted by ``by``
-    (nulls last) on a RangeIndex; counts and integer sums are int64,
-    float sums float64, min/max keep the input dtype (an integer column
+    (one row per block and key); the driver buffers those rows as they
+    stream in and folds the buffer into its one-row-per-key table once
+    the buffer outgrows it, so it holds O(distinct keys) rows and the
+    fold costs O(partial rows) in total.  SQL semantics: a null key is
+    its own group; a group whose inputs are all null gets null for
+    sum/min/max and 0 for count.  The frame is sorted by ``by`` (nulls
+    last) on a RangeIndex; counts and integer sums are int64, float
+    sums float64, min/max keep the input dtype (an integer column
     holding a null converts to float64 with NaN, as pandas converts
     it).  An empty input gives the zero-row frame with the same
-    columns.
+    columns, typed from ``ds.schema()`` (so only an empty input runs
+    its plan a second time); with no schema, counts are int64 and the
+    other columns untyped (object), which merge and concat with any
+    dtype, so no caller types an empty result itself.
 
     Only for results whose key cardinality is config-sized (a lang, an
     event type, a label, a time window): every distinct key reaches
@@ -265,22 +259,33 @@ def fold_groups(ds: rd.Dataset, by: str | list[str],
                        for c, op in pairs])
 
     combine = [(c, _COMBINE[op]) for c, (_, op) in zip(cols, pairs)]
-    acc = None
+
+    def fold(tables: list[pa.Table]) -> pa.Table:
+        return reduce(pa.concat_tables(tables, promote_options="permissive"),
+                      combine, [f"{c}_{op}" for c, op in combine])
+
+    buf, kept, fresh = [], 0, 0  # the folded table (kept rows), then partials
     for b in ds.map_batches(partial, batch_format="pyarrow", batch_size=None,
                             zero_copy_batch=True).iter_batches(
             batch_format="pyarrow", batch_size=None):
         if not b.num_rows:  # an empty input block may come back column-less
             continue
-        acc = b if acc is None else reduce(
-            pa.concat_tables([acc, b], promote_options="permissive"),
-            combine, [f"{c}_{op}" for c, op in combine])
-    if acc is None:  # no rows: type the empty frame from the input schema
+        buf.append(b)
+        fresh += b.num_rows
+        if fresh > kept:
+            buf = [fold(buf)]
+            kept, fresh = buf[0].num_rows, 0
+    if not buf:  # no rows: Ray never maps an empty block
         schema = ds.schema()
-        need = set(keys) | {c for c, _ in pairs if c is not None}
-        acc = partial(pa.schema(
-            [(c, _arrow_type(t)) for c, t in zip(schema.names, schema.types)]
-            if schema is not None
-            else [(c, pa.int64()) for c in sorted(need)]).empty_table())
+        if schema is None:
+            return pd.DataFrame({c: pd.Series([], dtype=object) for c in keys}
+                                | {name: pd.Series([], dtype="int64"
+                                                   if op == "count" else object)
+                                   for name, (_, op) in aggs.items()})
+        buf = [partial(pa.schema(
+            [(c, t if isinstance(t, pa.DataType) else pa.string())
+             for c, t in zip(schema.names, schema.types)]).empty_table())]
+    acc = fold(buf) if len(buf) > 1 else buf[0]
     acc = acc.sort_by([(k, "ascending") for k in keys])
     out = {k: acc.column(k) for k in keys}
     for name, pair in aggs.items():

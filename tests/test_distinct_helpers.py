@@ -457,11 +457,13 @@ def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
     """Hand-written pair emitters and driver folds in one module: a
     ``for y in range(x + 1, ...)`` loop that is a direct body statement
     of a ``for x ...`` loop (a within-block pair loop, the job of
-    ``stages/pairs.block_pairs``), and a ``d[k] = d.get(k, 0) + ...``
-    fold inside a loop that walks the rows of an ``iter_batches`` batch
-    (``zip(b[...], ...)``, ``b.itertuples()``, ``b.iterrows()``; the
-    job of ``stages/distinct.fold_groups``).  A loop over a batch's
-    groups (``b.groupby(...)``) is not a row walk."""
+    ``stages/pairs.block_pairs``), and driver folds, the job of
+    ``stages/distinct.fold_groups``: any ``acc.get(int(...), 0) + ...``
+    expression wherever it sits (a histogram fold), and any
+    ``d[k] = d.get(k, 0) + ...`` inside a loop that walks the rows of
+    an ``iter_batches`` batch (``zip(b[...], ...)``, ``b.itertuples()``,
+    ``b.iterrows()``; a batch fold).  A loop over a batch's groups
+    (``b.groupby(...)``) is not a row walk."""
     import ast
 
     def loop_var(node):
@@ -492,6 +494,19 @@ def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
                 and it.func.attr in ("itertuples", "iterrows")
                 and of_b(it.func.value))
 
+    def is_histogram_fold(node) -> bool:
+        # acc.get(int(...), 0) + ...
+        f = node.left
+        return (isinstance(node.op, ast.Add) and isinstance(f, ast.Call)
+                and isinstance(f.func, ast.Attribute) and f.func.attr == "get"
+                and isinstance(f.func.value, ast.Name)
+                and f.func.value.id == "acc" and len(f.args) == 2
+                and isinstance(f.args[0], ast.Call)
+                and isinstance(f.args[0].func, ast.Name)
+                and f.args[0].func.id == "int"
+                and isinstance(f.args[1], ast.Constant)
+                and f.args[1].value == 0)
+
     def is_get_fold(st) -> bool:
         # d[k] = d.get(k, 0) + ...
         if not (isinstance(st, ast.Assign) and len(st.targets) == 1
@@ -508,7 +523,7 @@ def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
                 and len(g.args) == 2 and isinstance(g.args[1], ast.Constant)
                 and g.args[1].value == 0)
 
-    bad = set()
+    bad, histogram, batch = set(), set(), set()
     for node in ast.walk(ast.parse(src, name)):
         if isinstance(node, ast.For) and loop_var(node):
             for st in node.body:
@@ -518,34 +533,47 @@ def _pair_loop_and_fold_sites(src: str, name: str = "<src>") -> list:
                         and st.iter.func.id == "range"
                         and starts_after(st.iter, loop_var(node))):
                     bad.add((st.lineno, "pair loop"))
+        if isinstance(node, ast.BinOp) and is_histogram_fold(node):
+            histogram.add(node.lineno)
         if is_batch_loop(node):
             for inner in ast.walk(node):
                 if (isinstance(inner, ast.For)
                         and walks_rows(inner.iter, loop_var(node))):
-                    bad |= {(st.lineno, "batch fold")
-                            for st in ast.walk(inner) if is_get_fold(st)}
+                    batch |= {st.lineno for st in ast.walk(inner)
+                              if is_get_fold(st)}
+    bad |= {(line, "histogram fold") for line in histogram}
+    bad |= {(line, "batch fold") for line in batch - histogram}
     return [f"{name}:{line}: {what}" for line, what in sorted(bad)]
 
 
 def test_pair_loop_scanner_shapes():
-    """The scanner flags the nested pair loop and int- or str-keyed dict
-    folds over a batch's rows, and leaves span loops, offset ranges,
-    pandas / pyarrow groupings and the Misra-Gries sketch merge (a loop
-    over a batch's groups) alone."""
+    """The scanner flags the nested pair loop, the int-keyed histogram
+    fold wherever it sits, and int- or str-keyed dict folds over a
+    batch's rows, and leaves span loops, offset ranges, pandas / pyarrow
+    groupings and the Misra-Gries sketch merge (a loop over a batch's
+    groups) alone."""
     flagged = '''
-def emit(mem, ds):
+def emit(mem, batch):
     for x in range(len(mem) - 1):
         a = mem[x]
         for y in range(x + 1, len(mem)):
             out.append((a, mem[y]))
-    for batch in ds.iter_batches(batch_format="pandas"):
-        for k, n in zip(batch["k"], batch["n"]):
-            acc[int(k)] = acc.get(int(k), 0) + int(n)
+    for k, n in zip(batch["k"], batch["n"]):
+        acc[int(k)] = acc.get(int(k), 0) + int(n)
 
 def per_lang(ds):
     for b in ds.map_batches(f).iter_batches(batch_format="pandas"):
         for lang, n in zip(b["lang"], b["n"]):
             counts[lang] = counts.get(lang, 0) + int(n)
+
+def over_batches(ds):
+    for batch in ds.iter_batches(batch_format="pandas"):
+        for k, n in zip(batch["k"], batch["n"]):
+            acc[int(k)] = acc.get(int(k), 0) + int(n)
+
+def total(k, n):
+    x = acc.get(int(k), 0) + n
+    return x
 '''
     allowed = '''
 def spans(sent, i):
@@ -577,7 +605,9 @@ def sketch(ds):
                 cur[t] = cur.get(t, 0) + int(c)
 '''
     assert _pair_loop_and_fold_sites(flagged) == [
-        "<src>:5: pair loop", "<src>:9: batch fold", "<src>:14: batch fold"]
+        "<src>:5: pair loop", "<src>:8: histogram fold",
+        "<src>:13: batch fold", "<src>:18: histogram fold",
+        "<src>:21: histogram fold"]
     assert _pair_loop_and_fold_sites(allowed) == []
 
 
