@@ -166,6 +166,12 @@ def doc_substring_dup_census(sf_dir: str, k: int = K_TOKENS, w: int = W_WINDOW):
     dup_by_lang = fold_groups(per_doc, "lang",
                               {"docs_with_dups": (None, "count"),
                                "dup_tokens": ("dup_tokens", "sum")})
+    if dup_by_lang.empty:  # an empty fold is all int64; lang is str
+        dup_by_lang = pd.DataFrame(
+            {"lang": pd.Series([], dtype="str"),
+             "docs_with_dups": pd.Series([], dtype="int64"),
+             "dup_tokens": pd.Series([], dtype="int64")}
+        )
 
     out = lang_tot.merge(dup_by_lang, on="lang", how="left")
     out["docs_with_dups"] = out["docs_with_dups"].fillna(0).astype("int64")

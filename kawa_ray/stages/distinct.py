@@ -234,10 +234,9 @@ def fold_groups(ds: rd.Dataset, by: str | list[str],
     sums float64, min/max keep the input dtype (an integer column
     holding a null converts to float64 with NaN, as pandas converts
     it).  An empty input gives the zero-row frame with the same
-    columns, typed from ``ds.schema()`` (so only an empty input runs
-    its plan a second time); with no schema, counts are int64 and the
-    other columns untyped (object), which merge and concat with any
-    dtype, so no caller types an empty result itself.
+    columns, all int64: no input dtype reaches the fold (asking Ray for
+    the schema would run the input's plan again), so a caller whose
+    empty result needs another dtype types it.
 
     Only for results whose key cardinality is config-sized (a lang, an
     event type, a label, a time window): every distinct key reaches
@@ -275,18 +274,10 @@ def fold_groups(ds: rd.Dataset, by: str | list[str],
         if fresh > kept:
             buf = [fold(buf)]
             kept, fresh = buf[0].num_rows, 0
-    if not buf:  # no rows: Ray never maps an empty block
-        schema = ds.schema()
-        if schema is None:
-            return pd.DataFrame({c: pd.Series([], dtype=object) for c in keys}
-                                | {name: pd.Series([], dtype="int64"
-                                                   if op == "count" else object)
-                                   for name, (_, op) in aggs.items()})
-        buf = [partial(pa.schema(
-            [(c, t if isinstance(t, pa.DataType) else pa.string())
-             for c, t in zip(schema.names, schema.types)]).empty_table())]
-    acc = fold(buf) if len(buf) > 1 else buf[0]
-    acc = acc.sort_by([(k, "ascending") for k in keys])
+    if not buf:  # no rows: Ray never maps an empty block, so no dtype
+        return pd.DataFrame({c: pd.Series([], dtype="int64")
+                             for c in keys + list(aggs)})
+    acc = (fold(buf) if len(buf) > 1 else buf[0]).sort_by([(k, "ascending") for k in keys])
     out = {k: acc.column(k) for k in keys}
     for name, pair in aggs.items():
         col = acc.column(cols[pairs.index(pair)])
