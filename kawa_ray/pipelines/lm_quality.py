@@ -367,28 +367,20 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 10):
     (bit-exact vs the oracle).  Ties broken (pmi desc, prev, cur)."""
     docs = _read_docs(sf_dir, ["text"])
 
-    def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
+    def gram_rows(df: pd.DataFrame) -> pd.DataFrame:
+        # one row per bigram (prev, cur) and per unigram (tok, "")
         flat, lens = _split(df["text"])
-        codes, uniq = pd.factorize(flat.to_numpy(dtype=object))
-        frames = []
-        if codes.size > 1:
-            doc_idx = np.repeat(np.arange(lens.size), lens)
-            same = doc_idx[:-1] == doc_idx[1:]
-            key = codes[:-1][same].astype(np.int64) * len(uniq) + codes[1:][same]
-            uk, c = np.unique(key, return_counts=True)
-            frames.append(pd.DataFrame({"prev": uniq[uk // len(uniq)],
-                                        "cur": uniq[uk % len(uniq)],
-                                        "c": c.astype(np.int64)}))
-        if codes.size:
-            uc = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-            frames.append(pd.DataFrame({"prev": uniq, "cur": "", "c": uc}))
-        return (pd.concat(frames, ignore_index=True) if frames
-                else pd.DataFrame({"prev": [], "cur": [], "c": []}))
+        tok = flat.to_numpy(dtype=object)
+        doc_idx = np.repeat(np.arange(lens.size), lens)
+        same = doc_idx[:-1] == doc_idx[1:]
+        return pd.DataFrame({
+            "prev": np.concatenate([tok[:-1][same], tok]),
+            "cur": np.concatenate([tok[1:][same],
+                                   np.full(tok.size, "", dtype=object)])})
 
-    # driver fold of the bigram-vocabulary-sized partials (no shuffle)
-    counts = fold_groups(docs.map_batches(count_partial, batch_format="pandas"),
-                         ["prev", "cur"], {"c": ("c", "sum")})
+    # driver fold of the bigram-vocabulary-sized counts (no shuffle)
+    counts = fold_groups(docs.map_batches(gram_rows, batch_format="pandas"),
+                         ["prev", "cur"], {"c": (None, "count")})
     uni = counts[counts["cur"] == ""].set_index("prev")["c"]
     bg = counts[counts["cur"] != ""].copy()
     n_uni = int(uni.sum())

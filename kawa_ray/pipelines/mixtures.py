@@ -266,23 +266,14 @@ def source_divergence(sf_dir: str):
 
     docs = _read_docs(sf_dir, ["text", "source"])
 
-    def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.lower().str.split()
-        flat = toks.explode()
+    def token_rows(df: pd.DataFrame) -> pd.DataFrame:
+        flat = df["text"].str.lower().str.split().explode()
         flat = flat[flat.notna()]
-        src = df["source"].reindex(flat.index).to_numpy()
-        scodes, src_u = pd.factorize(src)
-        tcodes, tok_u = pd.factorize(flat.to_numpy(dtype=object))
-        if len(tok_u) == 0:
-            return pd.DataFrame({"source": [], "token": [], "c": []})
-        key = scodes.astype(np.int64) * len(tok_u) + tcodes
-        uk, c = np.unique(key, return_counts=True)
-        return pd.DataFrame({"source": src_u[uk // len(tok_u)],
-                             "token": tok_u[uk % len(tok_u)],
-                             "c": c.astype(np.int64)})
+        return pd.DataFrame({"source": df["source"].reindex(flat.index).to_numpy(),
+                             "token": flat.to_numpy(dtype=object)})
 
-    counts = fold_groups(docs.map_batches(count_partial, batch_format="pandas"),
-                         ["source", "token"], {"c": ("c", "sum")})
+    counts = fold_groups(docs.map_batches(token_rows, batch_format="pandas"),
+                         ["source", "token"], {"c": (None, "count")})
     n_s = counts["source"].map(counts.groupby("source")["c"].sum())
     c_g = counts["token"].map(counts.groupby("token")["c"].sum())
     n = float(counts["c"].sum())

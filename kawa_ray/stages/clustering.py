@@ -255,11 +255,13 @@ def _pointer_jump(labels, P: int, S: int):
          contribute zero jmap rows.
       2. rewrite: label rows co-locate with their shortcut via a SALTED
          label route — route = route_parts(lbl, P/S) * S +
-         route_parts(node, S), an int below P, so each partition holds
-         one route value — and jmap rows replicate xS, one per salt.
-         The salt bounds the hot-label funnel (a converged giant
-         component's label rows) to 1/S of the component per partition
-         at the price of S small (lbl, jlbl) rows per shortcut;
+         route_parts(node, S), an int below P that routes by value —
+         and jmap rows replicate xS, one per salt.  A reduce call may
+         hold several salts of one label bucket, so it keys its
+         shortcut map on the deduplicated ``lbl``.  The salt bounds the
+         hot-label funnel (a converged giant component's label rows) to
+         1/S of the component per route at the price of S small
+         (lbl, jlbl) rows per shortcut;
          partitioning assumption: a component's label
          rows / S must fit a worker's batch (``_lp_partitions`` sizes
          P and S from the edge count; the documented trade — no exact
@@ -316,6 +318,7 @@ def _pointer_jump(labels, P: int, S: int):
     def rewrite(lab: pd.DataFrame, jm: pd.DataFrame) -> pd.DataFrame:
         if jm.empty:
             return lab[["node", "lbl"]]
+        jm = jm.drop_duplicates("lbl")  # one row per salt in this call
         m = pd.Series(jm["jlbl"].to_numpy(), index=jm["lbl"].to_numpy())
         return pd.DataFrame({"node": lab["node"],
                              "lbl": lab["lbl"].map(m).fillna(lab["lbl"])})
@@ -342,8 +345,8 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20):
 
       1. join label rows (node, lbl) and edge rows (node, nbr) on
          node — co-located, so an in-batch pandas groupby tags
-         every edge with its node's current label (cost per PARTITION,
-         not per node: Ray's map_groups/aggregate pay ~1.5-2 ms per
+         every edge with its node's current label (cost per shuffled
+         block, not per node: Ray's map_groups/aggregate pay ~1.5-2 ms per
          distinct key, the stages/distinct.py rule);
       2. partition the emitted (nbr, candidate_label) rows by hash(nbr),
          in-batch groupby-min — hash-to-min propagation.  The node's

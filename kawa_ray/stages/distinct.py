@@ -5,18 +5,22 @@ Ray's ``groupby().aggregate()`` pays ~2 ms per DISTINCT KEY (measured:
 deduping 3.5 M rows to 160 k keys took 345 s, BASELINE.md "per-
 distinct-key" note), so exact distincts over doc/edge/pair-cardinality
 keys must hash-partition and deduplicate in-batch with pandas — the
-cost is then per PARTITION, not per key.
+cost is then per shuffled block, not per key.
 
 Single-exchange rule: every hash-partitioned reduce in the package is
 one ``partition_reduce(ds, key_col, fn, partitions)`` call, and
 ``route_parts`` is the only code that turns a key into a partition id.
 No other module writes a ``part`` column or groups by one
-(tests/test_distinct_helpers.py scans for both).  Int keys route by
-value, so a composite or salted route is one int column the caller
-computes with ``route_parts`` and keeps below ``partitions``: each
-``fn`` call then sees exactly one route value.  A chain of exchanges
-routes each step on its own key column.  Which exchange backend runs
-is decided here and nowhere else.
+(tests/test_distinct_helpers.py scans for both).  The exchange is one
+``sort("part")``; ``fn`` then runs once per shuffled block, and a block
+holds every row of each route it contains, usually several routes.
+Int keys route by value, so a composite or salted route is one int
+column the caller computes with ``route_parts`` and keeps below
+``partitions``: all rows of one route value reach the same ``fn``
+call, which may also hold other route values (a salted caller whose
+rows are replicated across routes deduplicates them itself).  A chain
+of exchanges routes each step on its own key column.  Which exchange
+backend runs is decided here and nowhere else.
 
 Join rule: a keyed join of two or more Datasets is one
 ``partition_join(sides, fn, partitions)`` call, itself one
@@ -31,9 +35,9 @@ lang, an event type, a label, a time window, a histogram bucket) is one
 on the driver, no exchange (a Ray ``groupby().aggregate()`` pays
 seconds of fixed shuffle cost at any data size).  No module runs a Ray
 grouped aggregate or ``map_groups``, or sums batch rows into a dict by
-hand; ``Dataset.groupby`` is called in exactly one place,
-``partition_reduce`` (tests/test_distinct_helpers.py scans for all of
-these).
+hand (tests/test_distinct_helpers.py scans for all of these), and
+``partition_reduce`` exchanges with a sort, so nothing in the package
+calls ``Dataset.groupby``.
 """
 
 from __future__ import annotations
@@ -50,15 +54,19 @@ import ray.data as rd
 def partition_reduce(ds: rd.Dataset, key_col: str,
                      fn: Callable[[pd.DataFrame], pd.DataFrame],
                      partitions: int = 64) -> rd.Dataset:
-    """Hash-partition on ``key_col`` and run ``fn`` once per PARTITION.
+    """Hash-partition on ``key_col`` and run ``fn`` once per shuffled
+    block.
 
     The replacement for ``groupby(<data-cardinality key>).aggregate()``
     / ``.map_groups()``: those pay the per-distinct-key dispatch cost
-    documented at the top of this module; this pays per partition.
-    All rows of one key co-locate (``route_parts``), so ``fn`` sees
-    every row of each of its keys and must reduce the groups internally
-    (an in-batch pandas groupby).  ``fn`` never sees the internal
-    ``part`` column.
+    documented at the top of this module; this pays per block.  The one
+    exchange is ``sort("part")`` on the ``route_parts`` id, and a sort
+    output block holds every row of each ``part`` value it contains
+    (the guarantee Ray's own ``map_groups`` rests on).  So ``fn`` runs
+    about once per input block, not once per route: it sees every row
+    of each of its keys, usually many routes at once, and must reduce
+    the groups internally (an in-batch pandas groupby).  ``fn`` never
+    sees the internal ``part`` column or an empty frame.
     """
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(part=route_parts(df[key_col], partitions))
@@ -72,8 +80,8 @@ def partition_reduce(ds: rd.Dataset, key_col: str,
 
     return (
         ds.map_batches(assign, batch_format="pandas")
-        .groupby("part")
-        .map_groups(run, batch_format="pandas")
+        .sort("part")
+        .map_batches(run, batch_format="pandas", batch_size=None)
     )
 
 
@@ -81,19 +89,21 @@ def partition_join(sides: list[tuple[rd.Dataset, str]],
                    fn: Callable[..., pd.DataFrame],
                    partitions: int = 64) -> rd.Dataset:
     """Keyed join: route every side on its key column and run
-    ``fn(*frames)`` once per partition, frame *i* holding every row of
-    side *i* routed there.
+    ``fn(*frames)`` once per shuffled block of the one
+    ``partition_reduce`` exchange, frame *i* holding every row of side
+    *i* routed to that block's routes (usually several).
 
     A side travels as one row per (input batch, route) whose payload is
-    that route's Arrow slice in IPC form, so each frame comes back with
-    its side's own columns and Arrow dtypes (full-range int64, bytes
-    and str unchanged; nothing is padded, so nothing is promoted).
-    Every batch sends all ``partitions`` routes, empty slices included:
-    a side with no rows in a partition still arrives as an empty frame
-    with its columns.  Ray never maps an empty batch, so only a side
-    with no rows at all arrives column-less; ``fn`` sees that as an
-    empty frame.  Keys route by ``route_parts``: equal keys of the same
-    kind meet, and int routes below ``partitions`` route by value.
+    that route's Arrow slice in IPC form; each side is decoded once per
+    block, so each frame comes back with its side's own columns and
+    Arrow dtypes (full-range int64, bytes and str unchanged; nothing is
+    padded, so nothing is promoted).  Every batch sends all
+    ``partitions`` routes, empty slices included: a side with no rows in
+    a block still arrives as an empty frame with its columns.  Ray never
+    maps an empty batch, so only a side with no rows at all arrives
+    column-less; ``fn`` sees that as an empty frame.  Keys route by
+    ``route_parts``: equal keys of the same kind meet in one call, and
+    int routes below ``partitions`` route by value.
     """
     def ipc(t: pa.Table) -> bytes:
         sink = pa.BufferOutputStream()
@@ -191,7 +201,7 @@ def partition_distinct(ds: rd.Dataset, cols: list[str], key_col: str,
 
     ``key_col`` must be one of ``cols`` (any single column works:
     duplicate rows agree on every column, so they always co-locate).
-    ``then``, if given, runs per partition on the deduplicated frame —
+    ``then``, if given, runs per block on the deduplicated frame —
     fuse the follow-up reduction (e.g. a per-group partial count) into
     the same shuffle instead of paying a second one.
     ``passthrough_col``, if given, names a bool column: rows where it is

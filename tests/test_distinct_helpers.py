@@ -142,8 +142,9 @@ class TestRouteDtypeStability:
 def test_composite_route_sees_one_value_per_call(ray_session):
     """A caller-computed int route below P (the pointer-jump rewrite's
     shape: salted label rows plus shortcut rows replicated once per
-    salt) must reach ``fn`` one route value per call, with every row of
-    that value in the call."""
+    salt) routes by value: each route value reaches exactly one ``fn``
+    call, with every row of that value in the call (a call may hold
+    several route values)."""
     P, S = 16, 4
     rng = np.random.default_rng(6)
     n = 600
@@ -160,18 +161,40 @@ def test_composite_route_sees_one_value_per_call(ray_session):
     df = pd.concat([label_rows, jump_rows], ignore_index=True)
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"route": [int(g["route"].iloc[0])],
-                             "n_values": [int(g["route"].nunique())],
-                             "rows": [",".join(map(str, sorted(g["row"])))]})
+        per = g.groupby("route")["row"].agg(
+            lambda r: ",".join(map(str, sorted(r))))
+        return pd.DataFrame({"route": per.index.astype("int64"),
+                             "rows": per.to_numpy()})
 
     got = partition_reduce(
         rd.from_pandas(label_rows).union(rd.from_pandas(jump_rows)),
         "route", fn, P).to_pandas()
-    assert (got["n_values"] == 1).all()
     assert not got["route"].duplicated().any()
     want = {int(r): ",".join(map(str, sorted(g["row"])))
             for r, g in df.groupby("route")}
     assert dict(zip(got["route"].astype(int), got["rows"])) == want
+
+
+def test_partition_reduce_calls_fn_per_block(ray_session):
+    """``fn`` runs once per shuffled block, not once per route: a
+    4-block input at P = 64 makes at most 4 calls, and no key is split
+    across calls."""
+    df = _frame(7, n=4000)
+    ds = rd.from_pandas(np.array_split(df, 4))
+    assert ds.num_blocks() == 4
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        import uuid
+
+        n = g.groupby("k_str").size()
+        return pd.DataFrame({"k_str": n.index, "n": n.to_numpy("int64"),
+                             "call": uuid.uuid4().hex})
+
+    got = partition_reduce(ds, "k_str", fn, 64).to_pandas()
+    assert got["call"].nunique() <= 4
+    assert not got["k_str"].duplicated().any()
+    want = df.groupby("k_str").size()
+    assert dict(zip(got["k_str"], got["n"])) == want.to_dict()
 
 
 def test_partition_join_keeps_side_dtypes(ray_session):
@@ -188,8 +211,12 @@ def test_partition_join_keeps_side_dtypes(ray_session):
                           "w": np.array([0.5, 1.5])})
 
     def fn(lf: pd.DataFrame, rf: pd.DataFrame) -> pd.DataFrame:
+        # k routes by value: report each route's rows on both sides
+        routes = sorted(set(lf["k"]) | set(rf["k"]))
         return pd.DataFrame({
-            "n_left": [len(lf)], "n_right": [len(rf)],
+            "n_left": [len(lf)],
+            "routes": [",".join(f"{r}:{(lf['k'] == r).sum()}:"
+                                f"{(rf['k'] == r).sum()}" for r in routes)],
             "left_dtypes": [",".join(f"{c}:{t}" for c, t in lf.dtypes.items())],
             "right_cols": [",".join(rf.columns)],
             "big": [",".join(map(str, lf["big"].tolist()))],
@@ -198,13 +225,21 @@ def test_partition_join_keeps_side_dtypes(ray_session):
 
     got = partition_join([(rd.from_pandas(left), "k"),
                           (rd.from_pandas(right), "k")], fn, 4).to_pandas()
-    assert len(got) == 4 and got["n_left"].sum() == 4
-    assert sorted(got["n_right"]) == [0, 0, 1, 1]
+    assert got["n_left"].sum() == 4
+    # each route value reaches exactly one call, with all its rows
+    routes = [r.split(":") for rs in got["routes"] for r in rs.split(",")]
+    assert sorted(int(r) for r, _, _ in routes) == [0, 1, 2, 3]
+    assert {int(r): (int(nl), int(nr)) for r, nl, nr in routes} == {
+        0: (1, 0), 1: (1, 1), 2: (1, 0), 3: (1, 1)}
     assert set(got["left_dtypes"]) == {"k:int64,big:int64,raw:object,txt:object"}
     assert set(got["right_cols"]) == {"k,w"}
-    assert sorted(int(x) for x in got["big"]) == sorted(big)
-    assert sorted(got["raw"]) == sorted(left["raw"])
-    assert sorted(got["txt"]) == sorted(left["txt"])
+    calls = got[got["n_left"] > 0]
+    assert sorted(int(x) for s in calls["big"] for x in s.split(",")) \
+        == sorted(big)
+    assert sorted(x for s in calls["raw"] for x in s.split(b"|")) \
+        == sorted(left["raw"])
+    assert sorted(x for s in calls["txt"] for x in s.split("|")) \
+        == sorted(left["txt"])
 
 
 def test_partition_join_three_way_sees_each_row_once(ray_session):
@@ -247,13 +282,16 @@ def test_partition_join_composite_route_by_value(ray_session):
         "jump": np.repeat(np.arange(30, dtype="int64"), S)})
 
     def fn(lab: pd.DataFrame, jm: pd.DataFrame) -> pd.DataFrame:
-        routes = set(lab["route"]) | set(jm["route"])
-        return pd.DataFrame({"route": [min(routes)], "n_routes": [len(routes)],
-                             "rows": [len(lab)], "jumps": [len(jm)]})
+        routes = sorted(set(lab["route"]) | set(jm["route"]))
+        return pd.DataFrame({
+            "route": pd.Series(routes, dtype="int64"),
+            "rows": [int((lab["route"] == r).sum()) for r in routes],
+            "jumps": [int((jm["route"] == r).sum()) for r in routes]})
 
     got = partition_join([(rd.from_pandas(labels), "route"),
                           (rd.from_pandas(jumps), "route")], fn, P).to_pandas()
-    assert (got["n_routes"] == 1).all()
+    # each route value reaches exactly one call, with all its rows
+    assert not got["route"].duplicated().any()
     want_rows = labels.groupby("route").size()
     want_jumps = jumps.groupby("route").size()
     for _, r in got.iterrows():

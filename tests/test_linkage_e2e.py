@@ -214,6 +214,50 @@ def test_bucketed_lp_long_path_log_rounds(ray_session):
     assert set(got.values()) == {"n0000"}
 
 
+def test_bucketed_lp_salted_matches_union_find(ray_session, monkeypatch):
+    """The bucketed tier with a pointer-jump salt S > 1 (P = 16, S = 4;
+    every other LP test runs at S = 1): shortcut rows replicate once
+    per salt.  A seeded random graph plus a path (so the jump emits
+    shortcuts) must close to union-find's components."""
+    import numpy as np
+    import ray.data as rd
+
+    from kawa_ray.stages import clustering
+
+    monkeypatch.setattr(clustering, "_lp_partitions", lambda n_edges: (16, 4))
+    rng = np.random.default_rng(11)
+    pool = [f"r{i:02d}" for i in range(60)]
+    edges = [(pool[a], pool[b]) for a, b in
+             (rng.choice(len(pool), size=2, replace=False) for _ in range(45))]
+    path = [f"p{i:02d}" for i in range(24)]
+    edges += list(zip(path, path[1:]))
+
+    df = clustering.label_propagation_components_bucketed(
+        rd.from_items([{"a": a, "b": b} for a, b in edges])).to_pandas()
+    assert dict(zip(df["node"], df["lbl"])) == \
+        clustering.union_find_components(edges)
+
+
+def test_pointer_jump_salted_one_block(ray_session):
+    """``_pointer_jump`` on a one-block label table at P = 16, S = 4:
+    the rewrite exchange then has fewer blocks than routes, so one
+    reduce call holds several salts of a label bucket, each with its
+    own copy of the shortcut rows.  The result is lbl[lbl[x]]."""
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from kawa_ray.stages.clustering import _pointer_jump
+
+    rng = np.random.default_rng(5)
+    nodes = [f"n{i:03d}" for i in range(200)]
+    lbl = {x: nodes[int(rng.integers(0, i + 1))] for i, x in enumerate(nodes)}
+    labels = rd.from_pandas(pd.DataFrame({"node": nodes,
+                                          "lbl": [lbl[x] for x in nodes]}))
+    df = _pointer_jump(labels, 16, 4).to_pandas()
+    assert dict(zip(df["node"], df["lbl"])) == {x: lbl[lbl[x]] for x in nodes}
+
+
 def test_clusters_invariant_to_batching(ray_session):
     """Cluster assignments must be identical across batch sizes /
     concurrency (the sandbox proxy for different cluster sizes —

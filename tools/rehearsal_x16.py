@@ -79,7 +79,7 @@ def build_tables() -> None:
 
 def winnow_shuffle_stats(sf_dir: str) -> dict:
     """Stats-instrumented partitioned-distinct chain (the winnow fp
-    stream): per-partition output block rows give the skew evidence."""
+    stream): per-partition deduped row counts give the skew evidence."""
     import pandas as pd
     import ray.data as rd
 
@@ -99,10 +99,12 @@ def winnow_shuffle_stats(sf_dir: str) -> dict:
         })
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        # one row per partition: its id (the route of any of its fps)
-        # and its deduped row count
-        return pd.DataFrame({"pid": [int(route_parts(g["fp"].iloc[:1], 64)[0])],
-                             "part_rows": [len(g)]})
+        # one row per partition in this reduce call (a call holds
+        # several): its id (the route of its fps) and its deduped row
+        # count
+        rows = pd.Series(route_parts(g["fp"], 64)).value_counts()
+        return pd.DataFrame({"pid": rows.index.astype("int64"),
+                             "part_rows": rows.to_numpy("int64")})
 
     shuffled = partition_distinct(
         ds.map_batches(fp_rows, batch_format="pyarrow"),
