@@ -28,7 +28,7 @@ from kawa_ray.functions.minhash import (
     simhash_band_keys,
     word_ngrams,
 )
-from kawa_ray.stages.clustering import _DRIVER_EDGE_THRESHOLD, closure_labels
+from kawa_ray.stages.clustering import closure_labels
 from kawa_ray.stages.distinct import (
     fold_groups,
     partition_distinct,
@@ -637,9 +637,12 @@ LANG_ID_SQL = _lang_id_sql()
 # with per-segment caps the output is P-independent anyway, P only sets
 # the shuffle fan-out.
 _PAIR_PARTITIONS = 64
-# _DRIVER_EDGE_THRESHOLD (imported from clustering, the closure's driver
-# tier bound) also bounds the pair-space tables this module collapses on
-# the driver: cross-band pair dedup and the verify stage's candidate set.
+# driver tier ceiling for the candidate-pair tables: up to this many
+# pairs, cross-band pair dedup (``_distinct_pairs``) runs as one pandas
+# drop_duplicates and the verify stage (``_verified_edges``) broadcasts
+# its candidate doc ids; above it both take their exchange paths.  The
+# closure of the verified edges picks its own tier (closure_labels).
+_DRIVER_EDGE_THRESHOLD = 200_000
 
 
 def _partitioned_band_pairs(banded, key_col: str, max_members: int,

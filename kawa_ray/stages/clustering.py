@@ -5,20 +5,18 @@
 smallest member of its component, and it alone picks the tier from the
 edge count:
 
-* up to ``_DRIVER_EDGE_THRESHOLD`` (200k) edges, an exact union-find on
+* up to ``_DRIVER_EDGE_THRESHOLD`` (2.5M) edges, an exact union-find on
   the driver — edges live in the distinct-surface / pair space, never
   corpus space (the same trade as the reference ontology builder's
-  incremental synonym-cluster merging);
-* while the node space (at most 2 x edges) stays within
-  ``_BCAST_NODE_LIMIT`` (5M), broadcast min-label propagation
-  (``label_propagation_components``);
+  incremental synonym-cluster merging), and its node table holds at
+  most 2 x edges entries;
 * beyond that, bucketed min-label propagation with per-round pointer
   jumping (``label_propagation_components_bucketed``), which holds no
   node-space table in any one heap.
 
-All three tiers induce the same partition with the same labels
+Both tiers induce the same partition with the same labels
 (tests/test_linkage_e2e.py, tests/test_dedup_census.py,
-tests/test_er_round5.py force each tier).
+tests/test_er_round5.py force the bucketed tier).
 """
 
 from __future__ import annotations
@@ -28,25 +26,18 @@ from collections.abc import Iterable
 import pandas as pd
 
 # driver tier ceiling: up to this many edges the union-find runs on the
-# driver (edge space, never corpus space)
-_DRIVER_EDGE_THRESHOLD = 200_000
-# broadcast-LP ceiling on the node space: each round materializes the
-# label table as a Python dict[str, str] on the driver AND deserializes
-# a full copy into every relabel task — ~150 bytes/entry realistically
-# (two str objects + dict slot), so 5M nodes ~ 750 MB per process.
-# Beyond that the bucketed variant's extra all-to-all per round is the
-# price of never holding the node space in any one heap.
-_BCAST_NODE_LIMIT = 5_000_000
+# driver (edge space, never corpus space; at most 2 x edges nodes)
+_DRIVER_EDGE_THRESHOLD = 2_500_000
 
 
 def _lp_partitions(n_edges: int) -> tuple[int, int]:
-    """Partition count P and pointer-jump salt S for both LP tiers,
+    """Partition count P and pointer-jump salt S for the bucketed LP,
     sized from the input like ``candidate_pairs``: about one partition
     per 4k adjacency rows (two per edge), capped at 64, with S =
     min(8, P) and P a multiple of S.  Every graph large enough to
-    reach an LP tier in production (> 200k edges) gets P = 64, S = 8;
-    a small graph forced onto these tiers no longer pays 64 partitions
-    of per-block task overhead per exchange."""
+    reach that tier in production (> 2.5M edges) gets P = 64, S = 8;
+    a small graph forced onto it does not pay 64 partitions of
+    per-block task overhead per exchange."""
     p = min(64, 2 * n_edges // 4096 + 1)
     s = min(8, p)
     return p - p % s, s
@@ -125,117 +116,7 @@ def closure_labels(edges_ds):
         return rd.from_arrow(pa.table(
             {"node": pa.array(list(groups), pa.string()),
              "lbl": pa.array(list(groups.values()), pa.string())}))
-    # node space <= 2 x edges
-    if 2 * n_edges <= _BCAST_NODE_LIMIT:
-        return label_propagation_components(edges)
     return label_propagation_components_bucketed(edges)
-
-
-def label_propagation_components(edges_ds, max_rounds: int = 20):
-    """Distributed connected components: hash-to-min label propagation
-    with DRIVER-SIDE PATH COMPRESSION between rounds.
-
-    ``edges_ds``: Dataset with string cols (a, b).  Returns a Dataset
-    (node, lbl).  Each round: explode edges both directions,
-    broadcast-relabel, hash-partition by node + in-batch groupby-min ->
-    new labels; then, since this tier already holds the label dict on
-    the driver, chase label chains to their roots (labels decrease
-    monotonically toward each component's min, so every chain
-    terminates) — the compression step that turns O(diameter) rounds
-    into a handful (a 16x-corpus blocking graph whose chained prefix
-    blocks exhausted 20 raw rounds — returning a WRONG histogram
-    before the exhaustion raise existed — converges well inside the
-    limit with compression; measured, blocking_ops cluster census).
-    Stop when no compressed label changed; RAISE on
-    max_rounds exhaustion rather than return partially-propagated
-    labels.  This is the MID-SIZE path (the label table is broadcast
-    and downloaded per round, so node space must fit a worker); the
-    bucketed variant below is the scale path.  The min-merge shuffles
-    on a hash PARTITION of the node, never per distinct node
-    (~1.5-2 ms/key dispatch, the stages/distinct.py rule).
-    """
-    import pyarrow as pa
-    import ray
-
-    from kawa_ray.stages.distinct import partition_distinct, partition_reduce
-
-    edges = edges_ds.select_columns(["a", "b"]).materialize()
-    P, _ = _lp_partitions(edges.count())
-
-    def explode(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [batch.column("a").combine_chunks(), batch.column("b").combine_chunks()]
-                ),
-                "nbr": pa.concat_arrays(
-                    [batch.column("b").combine_chunks(), batch.column("a").combine_chunks()]
-                ),
-            }
-        )
-
-    def _compress(lab: dict) -> dict:
-        # chase chains to the root (lab[r] == r); memoize along the way.
-        # Labels strictly decrease along a chain, so termination is
-        # guaranteed, and every label value is itself a node key.
-        for v in list(lab):
-            r = v
-            seen = []
-            while lab[r] != r:
-                seen.append(r)
-                r = lab[r]
-            for s in seen:
-                lab[s] = r
-        return lab
-
-    # labels start as the node's own name; each round a node adopts the min
-    # of (its label, neighbours' labels)
-    _ldf = partition_distinct(
-        edges.map_batches(explode, batch_format="pyarrow")
-        .map_batches(lambda t: pa.table({"node": t.column("node")}),
-                     batch_format="pyarrow"),
-        ["node"], key_col="node", partitions=P,
-        then=lambda g: g[["node"]].assign(lbl=g["node"]),
-    ).to_pandas()  # to_pandas, not take_all (per-row dict cost)
-    lab = dict(zip(_ldf["node"], _ldf["lbl"]))
-    for _ in range(max_rounds):
-        # join edge endpoints with current labels (broadcast: label table is
-        # node-space sized; at true scale this becomes a bucketed join)
-        lab_ref = ray.put(lab)
-
-        def relabel(df: pd.DataFrame, _ref=lab_ref) -> pd.DataFrame:
-            # vectorised (round-4 VERDICT item 2: the to_pylist + per-edge
-            # Python min() pair was the per-round hot loop): two C-loop
-            # dict lookups via Series.map + one object-ufunc minimum.
-            l = ray.get(_ref)
-            import numpy as np
-
-            cand = np.minimum(df["node"].map(l).to_numpy(dtype=object),
-                              df["nbr"].map(l).to_numpy(dtype=object))
-            return pd.DataFrame({"node": df["node"], "cand": cand})
-
-        new_labels = partition_reduce(
-            edges.map_batches(explode, batch_format="pyarrow")
-            .map_batches(relabel, batch_format="pandas"),
-            "node",
-            lambda g: (g.groupby("node", sort=False)["cand"].min()
-                       .rename("lbl").reset_index()),
-            P,
-        ).materialize()
-        _ndf = new_labels.to_pandas()
-        new_lab = _compress(dict(zip(_ndf["node"], _ndf["lbl"])))
-        if new_lab == lab:
-            import ray.data as _rd
-
-            return _rd.from_pandas(pd.DataFrame(
-                {"node": list(new_lab), "lbl": list(new_lab.values())}))
-        lab = new_lab
-    # exhausting max_rounds means the labels are PARTIALLY propagated —
-    # a silently-wrong component table (one real cluster counted as
-    # several).  Rounds = O(component diameter), so raise loudly.
-    raise RuntimeError(
-        f"label propagation did not converge in {max_rounds} rounds; "
-        f"the graph's component diameter exceeds max_rounds — raise it")
 
 
 def _pointer_jump(labels, P: int, S: int):
@@ -338,10 +219,10 @@ def label_propagation_components_bucketed(edges_ds, max_rounds: int = 20):
     Each round is two hash-partition propagation shuffles plus the two
     ``_pointer_jump`` exchanges — no driver-held or broadcast label
     table, so it holds at graphs whose node space exceeds worker memory
-    (the scale path for S6; the broadcast variant above is the mid-size
-    path, driver union-find the small path — all three proven
-    equivalent in tests, incl. a seeded random graph and a path graph
-    of diameter >> max_rounds that only converges via the jump):
+    (the scale path for S6 above the driver union-find's bound; the two
+    are proven equivalent in tests, incl. a seeded random graph and a
+    path graph of diameter >> max_rounds that only converges via the
+    jump):
 
       1. join label rows (node, lbl) and edge rows (node, nbr) on
          node — co-located, so an in-batch pandas groupby tags

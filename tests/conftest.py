@@ -29,15 +29,13 @@ def ray_session():
 @pytest.fixture
 def forced_closure_tiers(monkeypatch):
     """Factory of an iterator over the closure tiers above the driver
-    tier: each step patches stages.clustering's thresholds so that
-    closure_labels picks broadcast LP ("mid"), then bucketed LP
-    ("scale").  The patches last until the test ends."""
+    tier: its one step patches stages.clustering's threshold so that
+    closure_labels picks bucketed LP ("scale").  The patch lasts until
+    the test ends."""
     from kawa_ray.stages import clustering
 
     def tiers():
         monkeypatch.setattr(clustering, "_DRIVER_EDGE_THRESHOLD", 0)
-        yield "mid"
-        monkeypatch.setattr(clustering, "_BCAST_NODE_LIMIT", 0)
         yield "scale"
 
     return tiers

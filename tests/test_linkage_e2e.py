@@ -103,12 +103,16 @@ def test_hot_key_salting_applied(ray_session, linked):
 def test_union_find_matches_label_propagation(ray_session):
     import ray.data as rd
 
-    from kawa_ray.stages.clustering import label_propagation_components, union_find_components
+    from kawa_ray.stages.clustering import (
+        label_propagation_components_bucketed,
+        union_find_components,
+    )
 
     edges = [("a", "b"), ("b", "c"), ("d", "e"), ("f", "f")]
     uf = union_find_components(edges)
     ds = rd.from_items([{"a": a, "b": b} for a, b in edges])
-    lp = {r["node"]: r["lbl"] for r in label_propagation_components(ds).take_all()}
+    lp = {r["node"]: r["lbl"]
+          for r in label_propagation_components_bucketed(ds).take_all()}
     for n in ("a", "b", "c", "d", "e"):
         for m in ("a", "b", "c", "d", "e"):
             assert (uf[n] == uf[m]) == (lp[n] == lp[m]), (n, m)
@@ -188,10 +192,37 @@ def test_bucketed_label_propagation_matches_union_find(ray_session):
     assert got == want
 
 
+def test_closure_tier_boundary(ray_session, monkeypatch):
+    """closure_labels has two tiers: up to ``_DRIVER_EDGE_THRESHOLD``
+    edges the driver union-find, one edge more the bucketed LP, called
+    exactly once.  Both give union-find's labels."""
+    import ray.data as rd
+
+    from kawa_ray.stages import clustering
+
+    calls = []
+    bucketed = clustering.label_propagation_components_bucketed
+
+    def spy(edges_ds, *args, **kwargs):
+        calls.append(edges_ds.count())
+        return bucketed(edges_ds, *args, **kwargs)
+
+    monkeypatch.setattr(clustering, "_DRIVER_EDGE_THRESHOLD", 3)
+    monkeypatch.setattr(clustering, "label_propagation_components_bucketed",
+                        spy)
+    edges = [("b", "c"), ("a", "b"), ("x", "y"), ("y", "z")]
+    for n, want_calls in ((3, []), (4, [4])):
+        df = clustering.closure_labels(rd.from_items(
+            [{"a": a, "b": b} for a, b in edges[:n]])).to_pandas()
+        assert calls == want_calls, n
+        assert dict(zip(df["node"], df["lbl"])) == \
+            clustering.union_find_components(edges[:n]), n
+
+
 def test_bucketed_lp_long_path_log_rounds(ray_session):
     """Round-4 VERDICT item 1: a path graph whose diameter (99) far
     exceeds the old 20-round budget must close through the BUCKETED
-    tier — the only path for beyond-broadcast node spaces — within
+    tier — the only path above the driver union-find's bound — within
     ceil(log2 d) + C rounds (per-round pointer jumping; raw hash-to-min
     is O(d) and raised here before)."""
     import math
@@ -385,8 +416,8 @@ def test_bcubed_reaches_blocking_ceiling(linked):
 
 def test_component_paths_agree_on_random_graph(ray_session,
                                                forced_closure_tiers):
-    """closure_labels on every tier (driver union-find, broadcast label
-    propagation, bucketed label propagation) vs union-find on a seeded
+    """closure_labels on both tiers (driver union-find, bucketed label
+    propagation) vs union-find on a seeded
     random graph (path chains for diameter + random cross edges +
     self-loop isolates) — the 6-edge fixtures above pin the API, this
     pins the algorithm on adversarial component structure; the

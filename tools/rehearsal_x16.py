@@ -175,7 +175,7 @@ def emb_band_exchange_bytes(sf_dir: str) -> dict:
 def forced_bucketed_cluster_census() -> dict:
     """Round-4 VERDICT item 1 'done' evidence: the x16 blocking-graph
     cluster census must complete CORRECTLY through the bucketed tier
-    (broadcast ceiling forced to 0) — the only tier available to
+    (driver ceiling forced to 0) — the only tier available to
     beyond-worker-memory node spaces — and match the default-tier
     histogram.  The x16 graph's duplicate chains exceed 20-round
     diameters (the session-5 incident), so this only passes with the
@@ -188,15 +188,15 @@ def forced_bucketed_cluster_census() -> dict:
     t0 = time.perf_counter()
     default = bo.multirule_cluster_census(DST)
     t_default = time.perf_counter() - t0
-    old = cl._DRIVER_EDGE_THRESHOLD, cl._BCAST_NODE_LIMIT
+    old = cl._DRIVER_EDGE_THRESHOLD
     # force the bucketed scale tier whatever the edge count
-    cl._DRIVER_EDGE_THRESHOLD = cl._BCAST_NODE_LIMIT = 0
+    cl._DRIVER_EDGE_THRESHOLD = 0
     try:
         t0 = time.perf_counter()
         forced = bo.multirule_cluster_census(DST)
         t_forced = time.perf_counter() - t0
     finally:
-        cl._DRIVER_EDGE_THRESHOLD, cl._BCAST_NODE_LIMIT = old
+        cl._DRIVER_EDGE_THRESHOLD = old
     pd.testing.assert_frame_equal(
         default.reset_index(drop=True), forced.reset_index(drop=True))
     return {"x16_default_sec": round(t_default, 2),
