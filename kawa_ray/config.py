@@ -139,8 +139,9 @@ class LinkageConfig:
     # corpus-sized intermediate off the object store entirely.
     mention_spill_pages: int = 200_000
 
-    # detection runs as tasks over every CPU; its batch size is per task
-    detect_batch_size: int = 512
+    # rows per detection batch; None maps each read block whole, so the
+    # read, extract and detect fuse into one task per block
+    detect_batch_size: int | None = None
     # requested actor-pool sizes; linkage._pool_size clamps them so a
     # pool never reserves every CPU (upstream read tasks need slots).
     # detect_concurrency sizes only the context branch's embedding pool

@@ -6,10 +6,11 @@ scores candidates only by embedding cosine
 /root/reference/extract_word_embeddings.py:79-92); the north rule adds
 batched Jaro-Winkler/Levenshtein alongside it.
 
-Pure Python per pair, batched over lists — pair volume is bounded by the
+One call per pair, batched over lists — pair volume is bounded by the
 per-block pair cap, and pairs are generated over *distinct* normalised
-surfaces (not raw mentions), so this is never the dominant cost.  A
-vectorised rewrite (numpy byte matrices) is the documented scale path.
+surfaces (not raw mentions).  Jaro-Winkler is a plain Python loop;
+Levenshtein is bit-parallel (Myers/Hyyrö), so each pair costs one step
+per character of the longer string rather than one per DP cell.
 """
 
 from __future__ import annotations
@@ -67,33 +68,46 @@ def jaro_winkler(a: str, b: str, prefix_weight: float = 0.1, max_prefix: int = 4
 
 
 def levenshtein(a: str, b: str, cap: int | None = None) -> int:
-    """Edit distance with optional early-exit band cap."""
-    la, lb = len(a), len(b)
+    """Edit distance over code points; with ``cap``, any distance above
+    it is returned as ``cap + 1``.
+
+    Myers/Hyyrö bit-parallel: one bitmask per distinct character of the
+    shorter string, then one word-parallel step per character of the
+    longer one (Python ints are as wide as the shorter string).  ``pv``
+    and ``mv`` hold the +1/-1 vertical deltas of the current DP column;
+    ``score`` tracks its last cell."""
     if a == b:
         return 0
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
+    if len(a) > len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
     if cap is not None and lb - la > cap:
         return cap + 1
-    prev = list(range(la + 1))
-    cur = [0] * (la + 1)
-    for j in range(1, lb + 1):
-        cur[0] = j
-        cj = b[j - 1]
-        best = cur[0]
-        for i in range(1, la + 1):
-            cost = 0 if a[i - 1] == cj else 1
-            cur[i] = min(prev[i] + 1, cur[i - 1] + 1, prev[i - 1] + cost)
-            if cur[i] < best:
-                best = cur[i]
-        if cap is not None and best > cap:
-            return cap + 1
-        prev, cur = cur, prev
-    return prev[la]
+    if la == 0:
+        return lb
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << la) - 1
+    last = 1 << (la - 1)
+    pv, mv, score = mask, 0, la
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    if cap is not None and score > cap:
+        return cap + 1
+    return score
 
 
 def levenshtein_norm(a: str, b: str) -> float:

@@ -27,6 +27,8 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def extract_stage(ds, batch_size: int = 512):
-    """Attach S1 to a pages Dataset (columns: url, html, lang)."""
+def extract_stage(ds, batch_size: int | None = None):
+    """Attach S1 to a pages Dataset (columns: url, html, lang).  The
+    default maps each read block whole, so Ray fuses read and extract
+    into one task per file instead of bundling blocks to a row count."""
     return ds.map_batches(extract_batch, batch_format="pyarrow", batch_size=batch_size)

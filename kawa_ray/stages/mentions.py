@@ -135,10 +135,12 @@ def detect_batch(batch: pa.Table, spec) -> pa.Table:
     return worker_detector(spec)(batch)
 
 
-def mention_stage(ds, lexicon: LexiconIndex, batch_size: int = 256,
+def mention_stage(ds, lexicon: LexiconIndex, batch_size: int | None = None,
                   with_regex_ner: bool = True,
                   lang_lexicons: dict[str, dict] | None = None):
-    """Attach S2 to a (url, text, lang) Dataset as stateless tasks."""
+    """Attach S2 to a (url, text, lang) Dataset as stateless tasks.  The
+    default maps each upstream block whole (it fuses with the read and
+    extract), so detection runs one task per read block."""
     return ds.map_batches(
         detect_batch,
         fn_kwargs={"spec": detector_spec(lexicon, with_regex_ner, lang_lexicons)},

@@ -2,10 +2,12 @@
 block pair explosion, then exact pair dedup (SURVEY.md §7.5 shuffles 1-2).
 
 Pairs are ordered ``(a, b) = (min(norm), max(norm))`` so the dedup key is
-canonical.  Blocks larger than ``max_pairs_per_block`` after the cap
-produce a deterministic prefix of the pair list (members sorted by
-descending mention count, then lexicographically) — the cap is part of
-the pipeline spec and the eval oracle honours the same keys.
+canonical.  A block whose pair list exceeds ``max_pairs_per_block``
+keeps a deterministic prefix of it: its distinct member norms sorted
+lexicographically, pairs in row-major upper-triangle order
+(``pairs_for_block``).  The eval oracle (``eval/pairwise.py``) mirrors
+the blocking and the hot-key salting but not this truncation: it
+enumerates every pair of every block.
 
 ``block_pairs`` is the package's one within-block pair emitter for
 equality blocks with a whole-block member cap (the censuses, dedup

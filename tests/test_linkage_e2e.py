@@ -304,8 +304,10 @@ def test_clusters_invariant_to_batching(ray_session):
                                       detect_concurrency=2))
     b = link_pages(pages_dir, replace(LinkageConfig(), detect_batch_size=512,
                                       detect_concurrency=3))
-    assert a["norm2cluster"] == b["norm2cluster"]
-    assert a["n_pairs"] == b["n_pairs"]
+    # the default: each read block is one detection batch
+    c = link_pages(pages_dir, LinkageConfig())
+    assert a["norm2cluster"] == b["norm2cluster"] == c["norm2cluster"]
+    assert a["n_pairs"] == b["n_pairs"] == c["n_pairs"]
 
 
 def test_detector_cache_follows_its_inputs(ray_session):

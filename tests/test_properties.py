@@ -82,6 +82,35 @@ def test_strsim_metric_properties(a, b):
     assert levenshtein(a, a) == 0
 
 
+def dp_levenshtein(a: str, b: str) -> int:
+    """Reference edit distance: the full O(len(a)·len(b)) DP table."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+# arbitrary Unicode, and a small alphabet (CJK and astral code points
+# included) so that the two strings share most of their characters; its
+# lengths are drawn uniformly, so long strings are as likely as short ones
+lev_text = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+    st.integers(0, 90).flatmap(
+        lambda n: st.text(st.sampled_from("ab日本語\U0001F600"), min_size=n, max_size=n)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lev_text, lev_text, st.integers(min_value=0, max_value=12))
+def test_levenshtein_matches_dp(a, b, cap):
+    d = dp_levenshtein(a, b)
+    assert levenshtein(a, b) == d
+    assert levenshtein(a, b, cap=cap) == min(d, cap + 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(token_lists)
 def test_simhash_deterministic(toks):
